@@ -1,5 +1,8 @@
-// E6 — Corollary 1.5: every node learns its own quantile up to +-eps in
-// (1/eps) * O(log log n + log 1/eps) rounds.
+// E6 — Corollary 1.5: every node learns its own quantile up to +-eps.
+// The paper's bound is (1/eps) * O(log log n + log 1/eps) rounds; the
+// library asks for all grid targets as one shared-schedule multi_quantile
+// batch, so the rounds column stays near one run's while messages carry
+// one key per grid target.
 #include <cmath>
 #include <cstdio>
 
@@ -21,7 +24,7 @@ void run() {
   constexpr std::uint32_t kN = 1 << 14;
   const std::size_t trials = bench::scaled_trials(3);
 
-  bench::Table table({"eps", "quantile runs", "rounds", "rounds/run",
+  bench::Table table({"eps", "grid targets", "rounds", "rounds/target",
                       "success", "mean |err|", "max |err|"});
   for (const double eps : {0.48, 0.4, 0.32}) {
     RunningStats rounds, success, mean_err, max_err;

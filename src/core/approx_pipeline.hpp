@@ -12,18 +12,26 @@
 //   const Metrics& metrics();
 //   bool faultless();   // no failure model AND no adversary installed
 //   ExactQuantileResult exact(span<const Key>, const ExactQuantileParams&);
-//   TwoTournamentOutcome   two(vector<Key>& state, phi, eps, truncate_last);
-//   ThreeTournamentOutcome three(vector<Key>& state, eps, k);
+//   TournamentRun tournament(span<const Key>, const ApproxQuantileParams&,
+//                            double phase2_eps);  // Phase 1, 2, final sample
 //   RobustTwoTournamentOutcome   robust_two(state, good, phi, eps,
 //                                           truncate_last);
 //   RobustThreeTournamentOutcome robust_three(state, good, eps, k);
 //   uint64_t coverage(outputs, valid, t);
+//
+// The failure-free tournament is one op so each executor runs it on its
+// own representation: Network chains core/two_tournament and
+// core/three_tournament (the reference oracle, as written in the paper);
+// Engine drives the shared-schedule q-lane kernels with one lane
+// (multi_detail::run_shared_schedule), never exporting state between the
+// phases.  Both attribute time to the ApproxPhaseSpans names.
 //
 // Instantiated by core/approx_quantile.cpp (Network) and
 // engine/pipelines.cpp (Engine); bit-identity of the two is pinned by
 // tests/test_engine.cpp and tests/test_engine_robust.cpp.
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <utility>
 #include <vector>
@@ -38,6 +46,19 @@
 
 namespace gq::approx_detail {
 
+// Span names of the failure-free tournament's two phases.
+struct ApproxPhaseSpans {
+  static constexpr const char* kTwo = "approx/two_tournament";
+  static constexpr const char* kThree = "approx/three_tournament";
+};
+
+// What the failure-free tournament op returns.
+struct TournamentRun {
+  std::size_t phase1_iterations = 0;
+  std::size_t phase2_iterations = 0;
+  std::vector<Key> outputs;
+};
+
 template <typename Ops>
 ApproxQuantileResult approx_quantile_keys_impl(
     Ops& ops, std::span<const Key> keys, const ApproxQuantileParams& params) {
@@ -46,6 +67,8 @@ ApproxQuantileResult approx_quantile_keys_impl(
   GQ_REQUIRE(params.phi >= 0.0 && params.phi <= 1.0, "phi must lie in [0,1]");
   GQ_REQUIRE(params.eps > 0.0 && params.eps < 0.5,
              "eps must lie in (0, 1/2)");
+  GQ_REQUIRE(params.final_sample_size >= 1,
+             "final sample size must be positive");
 
   GQ_SPAN("pipeline/approx_quantile");
   const Metrics before = ops.metrics();
@@ -66,26 +89,19 @@ ApproxQuantileResult approx_quantile_keys_impl(
   }
 
   ApproxQuantileResult out;
-  std::vector<Key> state(keys.begin(), keys.end());
   // Phase II approximates the median of the Phase-I configuration to eps/4:
   // by Lemma 2.11 every quantile in [1/2 - eps/4, 1/2 + eps/4] of that
   // configuration lies in the original [phi - eps, phi + eps] window.
   const double phase2_eps = params.eps / 4.0;
 
   if (ops.faultless()) {
-    const auto p1 = [&] {
-      GQ_SPAN("approx/two_tournament");
-      return ops.two(state, params.phi, params.eps, params.truncate_last);
-    }();
-    const auto p2 = [&] {
-      GQ_SPAN("approx/three_tournament");
-      return ops.three(state, phase2_eps, params.final_sample_size);
-    }();
-    out.phase1_iterations = p1.iterations;
-    out.phase2_iterations = p2.iterations;
-    out.outputs = p2.outputs;
+    TournamentRun run = ops.tournament(keys, params, phase2_eps);
+    out.phase1_iterations = run.phase1_iterations;
+    out.phase2_iterations = run.phase2_iterations;
+    out.outputs = std::move(run.outputs);
     out.valid.assign(n, true);
   } else {
+    std::vector<Key> state(keys.begin(), keys.end());
     std::vector<bool> good(n, true);
     const auto p1 = [&] {
       GQ_SPAN("approx/robust_two_tournament");

@@ -1,5 +1,7 @@
 #include "core/approx_quantile.hpp"
 
+#include <utility>
+
 #include "core/approx_pipeline.hpp"
 #include "core/exact_quantile.hpp"
 #include "core/robust.hpp"
@@ -25,13 +27,23 @@ struct NetworkApproxOps {
                             const ExactQuantileParams& params) {
     return exact_quantile_keys(net, keys, params);
   }
-  TwoTournamentOutcome two(std::vector<Key>& state, double phi, double eps,
-                           bool truncate_last) {
-    return two_tournament(net, state, phi, eps, truncate_last);
-  }
-  ThreeTournamentOutcome three(std::vector<Key>& state, double eps,
-                               std::uint32_t final_sample_size) {
-    return three_tournament(net, state, eps, final_sample_size);
+  approx_detail::TournamentRun tournament(
+      std::span<const Key> keys, const ApproxQuantileParams& params,
+      double phase2_eps) {
+    std::vector<Key> state(keys.begin(), keys.end());
+    approx_detail::TournamentRun run;
+    {
+      GQ_SPAN(approx_detail::ApproxPhaseSpans::kTwo);
+      run.phase1_iterations = two_tournament(net, state, params.phi,
+                                             params.eps, params.truncate_last)
+                                  .iterations;
+    }
+    GQ_SPAN(approx_detail::ApproxPhaseSpans::kThree);
+    ThreeTournamentOutcome p2 =
+        three_tournament(net, state, phase2_eps, params.final_sample_size);
+    run.phase2_iterations = p2.iterations;
+    run.outputs = std::move(p2.outputs);
+    return run;
   }
   RobustTwoTournamentOutcome robust_two(std::vector<Key>& state,
                                         std::vector<bool>& good, double phi,

@@ -67,7 +67,10 @@
 //
 // Instantiated by core/multi_quantile.cpp (Network) and
 // engine/pipelines.cpp (Engine); bit-identity of the two is pinned by
-// tests/test_engine_multi.cpp at 1/2/8 threads.
+// tests/test_engine_multi.cpp at 1/2/8 threads.  The shared-schedule
+// branch is factored out as run_shared_schedule: the Engine's
+// single-target approx pipeline drives it with one lane, so the Engine
+// has exactly one failure-free tournament implementation.
 #pragma once
 
 #include <algorithm>
@@ -109,6 +112,77 @@ struct MultiLaneSpec {
   TwoTournamentSchedule schedule;
 };
 
+// Algorithm 1's side and schedule for one target.  truncate_last = false
+// replaces the delta-truncated final iteration with a full tournament
+// (every step's delta 1.0), exactly as core/two_tournament does.
+inline MultiLaneSpec lane_spec(double phi, double eps,
+                               bool truncate_last = true) {
+  const auto [side, start] = tournament_side(phi, eps);
+  MultiLaneSpec lane;
+  lane.suppress_high = side == TournamentSide::kSuppressHigh;
+  lane.schedule = two_tournament_schedule(start, eps);
+  if (!truncate_last) {
+    lane.schedule.delta.assign(lane.schedule.iterations(), 1.0);
+  }
+  return lane;
+}
+
+// Span names of the two phases of a multi-quantile batch.
+struct MultiPhaseSpans {
+  static constexpr const char* kTwo = "multi/two_tournament";
+  static constexpr const char* kThree = "multi/three_tournament";
+};
+
+struct SharedRun {
+  std::vector<std::vector<Key>> outputs;  // [lane][node]
+  std::size_t phase2_iterations = 0;
+};
+
+// The shared schedule itself: Phase 1 over every lane's own schedule,
+// Phase 2 at phase2_eps, then the final K-sample.  Routing (eps floor,
+// faults, lane cap) is the caller's: this runs whatever it is handed, so a
+// caller that already decided to run the tournament below the floor
+// (ApproxQuantileParams::force_tournament) gets exactly that.  `Spans`
+// names the two phase spans, so each pipeline keeps its own attribution.
+template <typename Spans, typename Ops>
+SharedRun run_shared_schedule(Ops& ops, std::span<const Key> keys,
+                              std::span<const MultiLaneSpec> lanes,
+                              double phase2_eps,
+                              std::uint32_t final_sample_size) {
+  std::size_t phase1_max = 0;
+  for (const MultiLaneSpec& lane : lanes) {
+    phase1_max = std::max(phase1_max, lane.schedule.iterations());
+  }
+  // Phase 2's schedule depends only on (eps, n) — identical for every lane.
+  const ThreeTournamentSchedule phase2 =
+      three_tournament_schedule(phase2_eps, ops.size());
+
+  ops.begin(keys, lanes.size());
+  {
+    GQ_SPAN(Spans::kTwo);
+    std::vector<MultiLaneStep> steps(lanes.size());
+    for (std::size_t iter = 0; iter < phase1_max; ++iter) {
+      for (std::size_t u = 0; u < lanes.size(); ++u) {
+        steps[u].active = iter < lanes[u].schedule.iterations();
+        steps[u].suppress_high = lanes[u].suppress_high;
+        steps[u].delta =
+            steps[u].active ? lanes[u].schedule.delta[iter] : 1.0;
+      }
+      ops.two_iteration(steps);
+    }
+  }
+  SharedRun run;
+  {
+    GQ_SPAN(Spans::kThree);
+    for (std::size_t iter = 0; iter < phase2.iterations(); ++iter) {
+      ops.three_iteration();
+    }
+    ops.final_sample(final_sample_size | 1u, run.outputs);
+  }
+  run.phase2_iterations = phase2.iterations();
+  return run;
+}
+
 template <typename Ops>
 MultiQuantileResult multi_quantile_keys_impl(
     Ops& ops, std::span<const Key> keys, const MultiQuantileParams& params) {
@@ -134,11 +208,15 @@ MultiQuantileResult multi_quantile_keys_impl(
   // any randomness so a duplicated target list leaves the transcript of
   // its deduped equivalent untouched.
   std::vector<double> unique;
+  std::vector<std::size_t> first_at;  // first caller position of each lane
   std::vector<std::size_t> slot(params.phis.size());
   for (std::size_t i = 0; i < params.phis.size(); ++i) {
     std::size_t u = 0;
     while (u < unique.size() && unique[u] != params.phis[i]) ++u;
-    if (u == unique.size()) unique.push_back(params.phis[i]);
+    if (u == unique.size()) {
+      unique.push_back(params.phis[i]);
+      first_at.push_back(i);
+    }
     slot[i] = u;
   }
 
@@ -162,48 +240,18 @@ MultiQuantileResult multi_quantile_keys_impl(
     }
   } else {
     std::vector<MultiLaneSpec> lanes(unique.size());
-    std::size_t phase1_max = 0;
     for (std::size_t u = 0; u < unique.size(); ++u) {
-      const auto [side, start] = tournament_side(unique[u], params.eps);
-      lanes[u].suppress_high = side == TournamentSide::kSuppressHigh;
-      lanes[u].schedule = two_tournament_schedule(start, params.eps);
-      phase1_max = std::max(phase1_max, lanes[u].schedule.iterations());
+      lanes[u] = lane_spec(unique[u], params.eps);
     }
     // Lemma 2.11 as in the single-target pipeline: Phase 2 approximates
-    // the median of each lane's Phase-1 configuration to eps/4, and its
-    // schedule depends only on (eps, n) — identical for every lane.
-    const double phase2_eps = params.eps / 4.0;
-    const ThreeTournamentSchedule phase2 =
-        three_tournament_schedule(phase2_eps, n);
-    const std::uint32_t k_samples = params.final_sample_size | 1u;
-
-    ops.begin(keys, lanes.size());
-    {
-      GQ_SPAN("multi/two_tournament");
-      std::vector<MultiLaneStep> steps(lanes.size());
-      for (std::size_t iter = 0; iter < phase1_max; ++iter) {
-        for (std::size_t u = 0; u < lanes.size(); ++u) {
-          steps[u].active = iter < lanes[u].schedule.iterations();
-          steps[u].suppress_high = lanes[u].suppress_high;
-          steps[u].delta =
-              steps[u].active ? lanes[u].schedule.delta[iter] : 1.0;
-        }
-        ops.two_iteration(steps);
-      }
-    }
-    std::vector<std::vector<Key>> outputs;
-    {
-      GQ_SPAN("multi/three_tournament");
-      for (std::size_t iter = 0; iter < phase2.iterations(); ++iter) {
-        ops.three_iteration();
-      }
-      ops.final_sample(k_samples, outputs);
-    }
+    // the median of each lane's Phase-1 configuration to eps/4.
+    SharedRun run = run_shared_schedule<MultiPhaseSpans>(
+        ops, keys, lanes, params.eps / 4.0, params.final_sample_size);
     for (std::size_t u = 0; u < unique.size(); ++u) {
-      per_unique[u].outputs = std::move(outputs[u]);
+      per_unique[u].outputs = std::move(run.outputs[u]);
       per_unique[u].valid.assign(n, true);
       per_unique[u].phase1_iterations = lanes[u].schedule.iterations();
-      per_unique[u].phase2_iterations = phase2.iterations();
+      per_unique[u].phase2_iterations = run.phase2_iterations;
     }
   }
 
@@ -214,9 +262,14 @@ MultiQuantileResult multi_quantile_keys_impl(
     // Every target's answer cost the whole shared run.
     for (ApproxQuantileResult& r : per_unique) r.rounds = out.rounds;
   }
+  // Back to caller order.  Walking backwards, a target's first appearance
+  // is its lane's last use, so it takes the lane's result by move and only
+  // duplicates pay a copy (q x n output keys are the batch's largest
+  // buffer).
   out.per_phi.resize(params.phis.size());
-  for (std::size_t i = 0; i < params.phis.size(); ++i) {
-    out.per_phi[i] = per_unique[slot[i]];
+  for (std::size_t i = params.phis.size(); i-- > 0;) {
+    ApproxQuantileResult& r = per_unique[slot[i]];
+    out.per_phi[i] = first_at[slot[i]] == i ? std::move(r) : r;
   }
   return out;
 }

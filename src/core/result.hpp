@@ -124,7 +124,7 @@ struct OwnRankResult {
   std::vector<double> estimates;
   std::vector<bool> valid;
   std::uint64_t rounds = 0;
-  std::size_t quantile_runs = 0;  // number of approx-quantile invocations
+  std::size_t quantile_runs = 0;  // grid targets (one multi_quantile batch)
 };
 
 }  // namespace gq

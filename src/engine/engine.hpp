@@ -122,15 +122,11 @@ class Engine {
                                      : kDefaultGatherBlock;
   }
 
-  // Tuned default for EngineConfig::intern_min_nodes: at 2^16 nodes the
-  // Key-typed state (~1.5 MB) outgrows the private caches, which is where
-  // the interned rank lanes start paying for their sort.
-  static constexpr std::uint32_t kDefaultInternMinNodes = 1u << 16;
-
-  [[nodiscard]] std::uint32_t intern_min_nodes() const noexcept {
-    return config_.intern_min_nodes != 0 ? config_.intern_min_nodes
-                                         : kDefaultInternMinNodes;
-  }
+  // Node count from which the failure-free tournament kernels run on
+  // interned 32-bit rank lanes: always 0 — they intern at every n (one
+  // representation; see engine/kernels.hpp).  Kept so callers that report
+  // the gathered entry size need no special case.
+  [[nodiscard]] std::uint32_t intern_min_nodes() const noexcept { return 0; }
 
   // ---- sequential-compatible primitives --------------------------------
 

@@ -1,4 +1,9 @@
 // Configuration for the sharded parallel execution engine.
+//
+// Every field is a performance or placement knob: results and Metrics are
+// identical at every setting.  The kernels' state representation is not a
+// knob — the tournament kernels always run on interned rank lanes and
+// median dynamics on pooled Key buffers (see engine/kernels.hpp).
 #pragma once
 
 #include <cstdint>
@@ -26,17 +31,6 @@ struct EngineConfig {
   // order, results, and Metrics are identical at every block size (pinned
   // by tests/test_engine.cpp).  0 picks the tuned default.
   std::uint32_t gather_block = 0;
-
-  // Minimum node count at which the failure-free tournament and
-  // median-dynamics kernels switch their ping-pong state from pooled Key
-  // buffers to interned 32-bit rank lanes (sim/key_intern.hpp).  Below
-  // it the whole state is cache-resident, so the O(n log n) intern costs
-  // more than the compact gathers save; above it the 6x smaller gather
-  // footprint dominates.  Purely a performance knob (results and Metrics
-  // are identical under either representation); 0 picks the tuned
-  // default.  The robust kernels always intern — their repeated fan-out
-  // pulls amortise the sort even at small n.
-  std::uint32_t intern_min_nodes = 0;
 
   // Pin worker threads to distinct cores so first-touch page placement
   // (FirstTouchBuffer, scatter mailbox rows) survives scheduler migration.

@@ -4,7 +4,6 @@
 #include <array>
 #include <bit>
 #include <span>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -33,14 +32,15 @@ constexpr std::uint32_t kPrefetchAhead = 16;
 // which at n = 10^6..10^7 is the difference between latency-bound misses
 // and a prefetchable stream.
 //
-// The session fields let consecutive kernels of one pipeline (two- then
-// three-tournament; robust two then robust three) skip the O(n log n)
-// re-intern: a kernel exports table[lane] back into the caller's vector on
-// exit and records that lane A still encodes it; the next kernel VERIFIES
-// the claim with one exact parallel compare pass (state[v] == table[lane[v]]
-// for all v) and re-interns only on mismatch.  The check is exact — there
-// is no hash shortcut to collide — so a caller mutating its state between
-// kernel calls simply pays a fresh intern, never a wrong answer.
+// The session fields let later kernels skip the O(n log n) re-intern: the
+// robust kernels export table[lane] back into the caller's vector on exit
+// and record that lane A still encodes it, and the q-lane kernels never
+// touch lane A, so repeated runs on the same keys find it current.  The
+// next kernel VERIFIES the claim with one exact parallel compare pass
+// (state[v] == table[lane[v]] for all v) and re-interns only on mismatch.
+// The check is exact — there is no hash shortcut to collide — so a caller
+// mutating its state between kernel calls simply pays a fresh intern,
+// never a wrong answer.
 struct LaneScratch {
   KeyInterner interner;
   std::vector<std::uint32_t> lane_a, lane_b;  // rank ping-pong (A is live)
@@ -121,7 +121,6 @@ void lane_settle(LaneScratch& s, std::span<const std::uint32_t> cur) {
 struct PickScratch {
   FirstTouchBuffer<std::uint32_t> p0, p1, p2;
   std::vector<std::uint32_t> wide;
-  std::vector<Key> wide_keys;  // sample slices of the Key representation
 
   void ensure(std::uint32_t n) {
     p0.ensure(n);
@@ -131,9 +130,6 @@ struct PickScratch {
   void ensure_wide(std::size_t slots) {
     if (wide.size() < slots) wide.resize(slots);
   }
-  void ensure_wide_keys(std::size_t slots) {
-    if (wide_keys.size() < slots) wide_keys.resize(slots);
-  }
 };
 
 // One median-of-three rule for every executor and kernel: the shared
@@ -141,10 +137,8 @@ struct PickScratch {
 // cannot diverge the bit-identity twins.
 using robust_detail::median3;
 
-// Pooled Key-typed ping-pong buffers: the below-intern-threshold
-// representation of the failure-free kernels (see EngineConfig::
-// intern_min_nodes — small states are cache-resident, so blocked prefetch
-// over Key records beats paying an O(n log n) intern).
+// Pooled Key-typed ping-pong buffers of median dynamics (see there for why
+// it does not intern).
 struct KeyPairScratch {
   std::vector<Key> a, b;
 
@@ -164,18 +158,15 @@ void copy_keys(Engine& engine, std::span<const Key> from, std::span<Key> to) {
       });
 }
 
-// The round mechanics of median dynamics, templated over the state
-// representation: T = std::uint32_t (interned rank lanes) or Key (pooled
-// AoS buffers).  Both run the same blocked draw/prefetch/commit structure
-// with identical per-node draw order and Metrics, so the representation is
-// unobservable.  Returns with *live pointing at the buffer holding the
-// final state (the ping-pong may end on either).
-template <typename T>
+// The round mechanics of median dynamics on pooled Key buffers: blocked
+// draw/prefetch/commit with the protocol's per-node draw order and
+// Metrics.  Returns with *live pointing at the buffer holding the final
+// state (the ping-pong may end on either).
 RuntimeResult median_dynamics_rounds(
-    Engine& engine, std::span<T> cur, std::span<T> next,
+    Engine& engine, std::span<Key> cur, std::span<Key> next,
     std::span<std::uint32_t> first, std::span<std::uint32_t> second,
     std::uint64_t iterations, std::uint64_t max_rounds,
-    std::uint64_t bits_per_message, const T** live) {
+    std::uint64_t bits_per_message, const Key** live) {
   const std::uint32_t block = engine.gather_block();
   RuntimeResult out;
   std::uint64_t completed = 0;
@@ -235,9 +226,7 @@ RuntimeResult median_dynamics_rounds(
                 next[v] = cur[v];
                 continue;
               }
-              const T& a = cur[first[v]];
-              const T& b = cur[second[v]];
-              next[v] = median3(a, b, cur[v]);
+              next[v] = median3(cur[first[v]], cur[second[v]], cur[v]);
             }
           }
           local.record_messages(sent, bits_per_message);
@@ -248,200 +237,6 @@ RuntimeResult median_dynamics_rounds(
   out.all_finished = completed >= iterations;
   *live = cur.data();
   return out;
-}
-
-// The 2-TOURNAMENT iteration loop, templated over the state
-// representation (interned ranks or Keys) exactly like
-// median_dynamics_rounds.  Returns the live buffer via *live.
-template <typename T>
-std::size_t two_tournament_rounds(Engine& engine, std::span<T> cur,
-                                  std::span<T> next,
-                                  std::span<std::uint32_t> first,
-                                  std::span<std::uint32_t> second,
-                                  const TwoTournamentSchedule& schedule,
-                                  bool truncate_last, bool suppress_high,
-                                  std::uint64_t bits, const T** live) {
-  const std::uint32_t block = engine.gather_block();
-  std::size_t iterations = 0;
-  for (std::size_t iter = 0; iter < schedule.iterations(); ++iter) {
-    GQ_SPAN("tournament/two_iteration");
-    const double delta = truncate_last ? schedule.delta[iter] : 1.0;
-
-    // Round 1: every node pulls its first sample.  Pick pass only; `cur`
-    // is the iteration snapshot and stays immutable until the commit.
-    engine.begin_round();
-    engine.parallel_shards(
-        [&](std::uint32_t begin, std::uint32_t end, Metrics& local) {
-          for (std::uint32_t v = begin; v < end; ++v) {
-            SplitMix64 stream = engine.node_stream(v);
-            first[v] = engine.sample_peer(v, stream);
-          }
-          local.record_messages(end - begin, bits);
-        });
-
-    // Round 2: the delta coin and, if it lands, the second sample — then
-    // the tournament commit, blocked: draws, prefetches over both samples'
-    // state lines, compute against warm lines.  Per-node draw order (coin,
-    // then peer, from one stream) is exactly the sequential path's.
-    engine.begin_round();
-    engine.parallel_shards(
-        [&](std::uint32_t begin, std::uint32_t end, Metrics& local) {
-          std::uint64_t sent = 0;
-          for (std::uint32_t b0 = begin; b0 < end; b0 += block) {
-            const std::uint32_t b1 = std::min(b0 + block, end);
-            for (std::uint32_t v = b0; v < b1; ++v) {
-              SplitMix64 stream = engine.node_stream(v);
-              const bool tournament =
-                  delta >= 1.0 || rand_bernoulli(stream, delta);
-              if (tournament) {
-                second[v] = engine.sample_peer(v, stream);
-                ++sent;
-              } else {
-                second[v] = Engine::kNoPeer;
-              }
-            }
-            for (std::uint32_t v = b0; v < b1; ++v) {
-              prefetch_read(&cur[first[v]]);
-              if (second[v] != Engine::kNoPeer) {
-                prefetch_read(&cur[second[v]]);
-              }
-            }
-            for (std::uint32_t v = b0; v < b1; ++v) {
-              const T& a = cur[first[v]];
-              if (second[v] == Engine::kNoPeer) {
-                next[v] = a;
-              } else {
-                const T& b = cur[second[v]];
-                next[v] = suppress_high ? std::min(a, b) : std::max(a, b);
-              }
-            }
-          }
-          local.record_messages(sent, bits);
-        });
-    std::swap(cur, next);
-
-    ++iterations;
-  }
-  *live = cur.data();
-  return iterations;
-}
-
-// The 3-TOURNAMENT iteration loop plus the fused final K-sampling step,
-// templated like two_tournament_rounds.  key_of maps a state entry to the
-// Key it denotes (identity for the Key representation, a table lookup for
-// ranks) — only the final outputs materialise Keys.
-template <typename T, typename KeyOf>
-std::size_t three_tournament_rounds(
-    Engine& engine, PickScratch& picks, std::span<T> cur, std::span<T> next,
-    const std::array<std::span<std::uint32_t>, 3>& pk,
-    const ThreeTournamentSchedule& schedule, std::uint32_t k_samples,
-    std::uint64_t bits, std::vector<Key>& outputs, KeyOf&& key_of,
-    const T** live) {
-  const std::uint32_t n = engine.size();
-  const std::uint32_t block = engine.gather_block();
-  std::size_t iterations = 0;
-  for (std::size_t iter = 0; iter < schedule.iterations(); ++iter) {
-    GQ_SPAN("tournament/three_iteration");
-    // Three pulls = three rounds, all reading the iteration-start state
-    // (`cur` is immutable until the commit, which writes `next`).  The
-    // first two are pure pick passes; the third is blocked — its draws,
-    // prefetches over all three samples' state lines, and the fused
-    // median commit run per block against warm lines.
-    for (int pull = 0; pull < 3; ++pull) {
-      engine.begin_round();
-      engine.parallel_shards(
-          [&](std::uint32_t begin, std::uint32_t end, Metrics& local) {
-            const auto& out_picks = pk[static_cast<std::size_t>(pull)];
-            if (pull < 2) {
-              for (std::uint32_t v = begin; v < end; ++v) {
-                SplitMix64 stream = engine.node_stream(v);
-                out_picks[v] = engine.sample_peer(v, stream);
-              }
-            } else {
-              for (std::uint32_t b0 = begin; b0 < end; b0 += block) {
-                const std::uint32_t b1 = std::min(b0 + block, end);
-                for (std::uint32_t v = b0; v < b1; ++v) {
-                  SplitMix64 stream = engine.node_stream(v);
-                  out_picks[v] = engine.sample_peer(v, stream);
-                }
-                for (std::uint32_t v = b0; v < b1; ++v) {
-                  prefetch_read(&cur[pk[0][v]]);
-                  prefetch_read(&cur[pk[1][v]]);
-                  prefetch_read(&cur[pk[2][v]]);
-                }
-                for (std::uint32_t v = b0; v < b1; ++v) {
-                  next[v] =
-                      median3(cur[pk[0][v]], cur[pk[1][v]], cur[pk[2][v]]);
-                }
-              }
-            }
-            local.record_messages(end - begin, bits);
-          });
-    }
-    std::swap(cur, next);
-    ++iterations;
-  }
-
-  // Final step: every node samples K values and outputs their median.  The
-  // tournament state is immutable during these rounds, so the K sampling
-  // rounds fuse into one parallel section: the round counter advances K
-  // times up front, and each node derives the per-round streams directly —
-  // the same (seed, round, v) derivation the per-round kernel would use,
-  // so draws and Metrics are bit-identical while the K-pass sample matrix
-  // disappears entirely.  Each node's K picks are drawn (and prefetched)
-  // before its K gathers, so the draw ALU covers the miss latency.
-  const std::uint64_t first_sample_round = engine.round() + 1;
-  for (std::uint32_t j = 0; j < k_samples; ++j) engine.begin_round();
-  outputs.resize(n);
-  constexpr std::uint32_t kMaxStackSamples = 64;
-  const std::size_t shards = engine.num_shards();
-  const auto wide_k = static_cast<std::size_t>(k_samples);
-  if (k_samples > kMaxStackSamples) {
-    // Oversized K: per-shard pick and sample slices come from pooled
-    // lanes, so even this path allocates nothing in steady state.  Picks
-    // are always 32-bit; samples live in the pool matching the state
-    // representation (ranks share `wide` behind the pick region).
-    if constexpr (std::is_same_v<T, Key>) {
-      picks.ensure_wide(shards * wide_k);
-      picks.ensure_wide_keys(shards * wide_k);
-    } else {
-      picks.ensure_wide(2 * shards * wide_k);
-    }
-  }
-  engine.parallel_shards(
-      [&](std::uint32_t begin, std::uint32_t end, Metrics& local) {
-        std::uint32_t stack_picks[kMaxStackSamples];
-        T stack_samples[kMaxStackSamples];
-        std::uint32_t* pick = stack_picks;
-        T* samp = stack_samples;
-        if (k_samples > kMaxStackSamples) {
-          const std::size_t shard = engine.shard_of(begin);
-          pick = picks.wide.data() + shard * wide_k;
-          if constexpr (std::is_same_v<T, Key>) {
-            samp = picks.wide_keys.data() + shard * wide_k;
-          } else {
-            samp = picks.wide.data() + (shards + shard) * wide_k;
-          }
-        }
-        for (std::uint32_t v = begin; v < end; ++v) {
-          for (std::uint32_t j = 0; j < k_samples; ++j) {
-            SplitMix64 stream = streams::node_stream(
-                engine.seed(), first_sample_round + j, v);
-            pick[j] = engine.sample_peer(v, stream);
-            prefetch_read(&cur[pick[j]]);
-          }
-          for (std::uint32_t j = 0; j < k_samples; ++j) {
-            samp[j] = cur[pick[j]];
-          }
-          T* const mid = samp + k_samples / 2;
-          std::nth_element(samp, mid, samp + k_samples);
-          outputs[v] = key_of(*mid);
-        }
-        local.record_messages(
-            static_cast<std::uint64_t>(k_samples) * (end - begin), bits);
-      });
-  *live = cur.data();
-  return iterations;
 }
 
 }  // namespace
@@ -463,130 +258,17 @@ RuntimeResult median_dynamics(Engine& engine, std::vector<Key>& state,
   const std::span<std::uint32_t> first = picks.p0.span(n);
   const std::span<std::uint32_t> second = picks.p1.span(n);
 
-  // Representation choice: interning costs an O(n log n) sort amortised
-  // over the gather rounds it shrinks, and median dynamics runs a
-  // caller-chosen iteration count that is often tiny (the scale benches
-  // run 2-3).  Short runs — and small states, which are cache-resident
-  // anyway (EngineConfig::intern_min_nodes) — therefore stay on pooled
-  // Key buffers, where the blocked prefetch still hides the gather
-  // latency; long large runs intern.  The representation is unobservable
-  // (same draws, same commit rule, same Metrics), so the thresholds are
-  // pure tuning.
-  constexpr std::uint64_t kInternMinIterations = 8;
-  if (iterations >= kInternMinIterations &&
-      n >= engine.intern_min_nodes()) {
-    auto& lanes = engine.scratch<LaneScratch>();
-    lane_import(engine, state, lanes);
-    const std::uint32_t* live = nullptr;
-    out = median_dynamics_rounds<std::uint32_t>(
-        engine, {lanes.lane_a.data(), n}, {lanes.lane_b.data(), n}, first,
-        second, iterations, max_rounds, bits_per_message, &live);
-    lane_settle(lanes, std::span<const std::uint32_t>(live, n));
-    lane_export(engine, lanes, state);
-    return out;
-  }
-
+  // Median dynamics stays on pooled Key buffers: interning costs an
+  // O(n log n) sort amortised over the gather rounds it shrinks, and the
+  // caller-chosen iteration count is often tiny (the scale benches run
+  // 2-3; at n = 10^6 the sort alone outlasts a 3-iteration Key run).
   auto& keys = engine.scratch<KeyPairScratch>();
   keys.ensure(n);
   copy_keys(engine, state, {keys.a.data(), n});
   const Key* live = nullptr;
-  out = median_dynamics_rounds<Key>(engine, {keys.a.data(), n},
-                                    {keys.b.data(), n}, first, second,
-                                    iterations, max_rounds, bits_per_message,
-                                    &live);
-  copy_keys(engine, {live, n}, state);
-  return out;
-}
-
-TwoTournamentOutcome two_tournament(Engine& engine, std::vector<Key>& state,
-                                    double phi, double eps,
-                                    bool truncate_last) {
-  const std::uint32_t n = engine.size();
-  GQ_REQUIRE(state.size() == n, "one key per node required");
-  GQ_REQUIRE(phi >= 0.0 && phi <= 1.0, "phi must lie in [0,1]");
-  GQ_REQUIRE(eps > 0.0 && eps < 0.5, "eps must lie in (0, 1/2)");
-  GQ_REQUIRE(engine.faultless(),
-             "two_tournament is the failure-free variant; use "
-             "robust_two_tournament under a failure model or adversary");
-
-  TwoTournamentOutcome out;
-  const auto [side, start] = tournament_side(phi, eps);
-  out.side = side;
-  out.schedule = two_tournament_schedule(start, eps);
-  const bool suppress_high = side == TournamentSide::kSuppressHigh;
-  const std::uint64_t bits = key_bits(n);
-
-  auto& picks = engine.scratch<PickScratch>();
-  picks.ensure(n);
-  const std::span<std::uint32_t> first = picks.p0.span(n);
-  const std::span<std::uint32_t> second = picks.p1.span(n);
-
-  if (n >= engine.intern_min_nodes()) {
-    auto& lanes = engine.scratch<LaneScratch>();
-    lane_import(engine, state, lanes);
-    const std::uint32_t* live = nullptr;
-    out.iterations = two_tournament_rounds<std::uint32_t>(
-        engine, {lanes.lane_a.data(), n}, {lanes.lane_b.data(), n}, first,
-        second, out.schedule, truncate_last, suppress_high, bits, &live);
-    lane_settle(lanes, std::span<const std::uint32_t>(live, n));
-    lane_export(engine, lanes, state);
-    return out;
-  }
-
-  auto& keys = engine.scratch<KeyPairScratch>();
-  keys.ensure(n);
-  copy_keys(engine, state, {keys.a.data(), n});
-  const Key* live = nullptr;
-  out.iterations = two_tournament_rounds<Key>(
-      engine, {keys.a.data(), n}, {keys.b.data(), n}, first, second,
-      out.schedule, truncate_last, suppress_high, bits, &live);
-  copy_keys(engine, {live, n}, state);
-  return out;
-}
-
-ThreeTournamentOutcome three_tournament(Engine& engine,
-                                        std::vector<Key>& state, double eps,
-                                        std::uint32_t final_sample_size) {
-  const std::uint32_t n = engine.size();
-  GQ_REQUIRE(state.size() == n, "one key per node required");
-  GQ_REQUIRE(eps > 0.0 && eps < 0.5, "eps must lie in (0, 1/2)");
-  GQ_REQUIRE(final_sample_size >= 1, "final sample size must be positive");
-  GQ_REQUIRE(engine.faultless(),
-             "three_tournament is the failure-free variant; use "
-             "robust_three_tournament under a failure model or adversary");
-  const std::uint32_t k_samples = final_sample_size | 1u;  // force odd
-
-  ThreeTournamentOutcome out;
-  out.schedule = three_tournament_schedule(eps, n);
-  const std::uint64_t bits = key_bits(n);
-
-  auto& picks = engine.scratch<PickScratch>();
-  picks.ensure(n);
-  const std::array<std::span<std::uint32_t>, 3> pk = {
-      picks.p0.span(n), picks.p1.span(n), picks.p2.span(n)};
-
-  if (n >= engine.intern_min_nodes()) {
-    auto& lanes = engine.scratch<LaneScratch>();
-    lane_import(engine, state, lanes);
-    const std::uint32_t* live = nullptr;
-    out.iterations = three_tournament_rounds<std::uint32_t>(
-        engine, picks, {lanes.lane_a.data(), n}, {lanes.lane_b.data(), n},
-        pk, out.schedule, k_samples, bits, out.outputs,
-        [&](std::uint32_t rank) { return lanes.interner.key_at(rank); },
-        &live);
-    lane_settle(lanes, std::span<const std::uint32_t>(live, n));
-    lane_export(engine, lanes, state);
-    return out;
-  }
-
-  auto& keys = engine.scratch<KeyPairScratch>();
-  keys.ensure(n);
-  copy_keys(engine, state, {keys.a.data(), n});
-  const Key* live = nullptr;
-  out.iterations = three_tournament_rounds<Key>(
-      engine, picks, {keys.a.data(), n}, {keys.b.data(), n}, pk,
-      out.schedule, k_samples, bits, out.outputs,
-      [](const Key& k) { return k; }, &live);
+  out = median_dynamics_rounds(engine, {keys.a.data(), n},
+                               {keys.b.data(), n}, first, second, iterations,
+                               max_rounds, bits_per_message, &live);
   copy_keys(engine, {live, n}, state);
   return out;
 }
@@ -599,9 +281,9 @@ namespace {
 // lane l lives at mat[v * q + l], so one node's whole vector is contiguous
 // (q <= kMaxSharedLanes = 64 lanes = at most four cache lines) and a peer
 // gather prefetches rows, not scattered entries.  Ping-pong like the
-// single-lane kernels: the live matrix is the iteration-start snapshot,
-// commits write the other.  `tmask` carries each node's Round-B tournament
-// lane bitmask from the draw pass to the commit pass.
+// robust kernels' rank lanes: the live matrix is the iteration-start
+// snapshot, commits write the other.  `tmask` carries each node's Round-B
+// tournament lane bitmask from the draw pass to the commit pass.
 struct MultiLaneScratch {
   std::vector<std::uint32_t> mat_a, mat_b;
   std::vector<std::uint64_t> tmask;
@@ -632,8 +314,8 @@ void multi_tournament_begin(Engine& engine, std::span<const Key> keys,
   GQ_REQUIRE(lanes >= 1 && lanes <= kMaxSharedLanes,
              "lane count must lie in [1, kMaxSharedLanes]");
   GQ_REQUIRE(engine.faultless(),
-             "the shared multi-quantile schedule is the failure-free "
-             "variant; the pipeline routes robust runs per target");
+             "the q-lane tournament kernels are the failure-free variant; "
+             "use the robust kernels under a failure model or adversary");
   auto& s = engine.scratch<MultiLaneScratch>();
   auto& ls = engine.scratch<LaneScratch>();
   auto& picks = engine.scratch<PickScratch>();
@@ -828,12 +510,13 @@ void multi_final_sample(Engine& engine, std::uint32_t k_samples,
   const std::uint32_t* const cur =
       s.a_live ? s.mat_a.data() : s.mat_b.data();
 
-  // K shared sampling rounds fused into one parallel section, exactly like
-  // the single-target kernel (see three_tournament_rounds): the round
+  // K shared sampling rounds fused into one parallel section: the round
   // counter advances K times up front and each node derives the per-round
-  // streams directly, so draws and Metrics are bit-identical to K
-  // per-round sweeps.  Each node's K picks are drawn (and their rows
-  // prefetched) before its q per-lane medians fold.
+  // streams directly — the same (seed, round, v) derivation the per-round
+  // loop would use — so draws and Metrics are bit-identical to K
+  // per-round sweeps while the K-pass sample matrix disappears.  Each
+  // node's K picks are drawn (and their rows prefetched) before its q
+  // per-lane medians fold.
   const std::uint64_t first_sample_round = engine.round() + 1;
   for (std::uint32_t j = 0; j < k_samples; ++j) engine.begin_round();
   outputs.assign(q, std::vector<Key>(n));
@@ -875,6 +558,74 @@ void multi_final_sample(Engine& engine, std::uint32_t k_samples,
             static_cast<std::uint64_t>(k_samples) * (end - begin),
             q * bits);
       });
+}
+
+// ---- single-target tournament kernels --------------------------------------
+//
+// Thin q = 1 drivers over the multi-lane kernels above: the one
+// failure-free tournament implementation.  Unlike the pipeline (which
+// never leaves the lanes between phases) they honour the core kernels'
+// in-place contract and write the final configuration back into `state`.
+
+namespace {
+
+// Writes lane 0 of the live q = 1 matrix back into the caller's state.
+void multi_export_single(Engine& engine, std::span<Key> state) {
+  const auto& s = engine.scratch<MultiLaneScratch>();
+  const std::span<const Key> table =
+      engine.scratch<LaneScratch>().interner.table();
+  const std::uint32_t* const lane =
+      s.a_live ? s.mat_a.data() : s.mat_b.data();
+  engine.parallel_shards(
+      [&](std::uint32_t begin, std::uint32_t end, Metrics&) {
+        for (std::uint32_t v = begin; v < end; ++v) {
+          if (v + kPrefetchAhead < end) {
+            prefetch_read(&table[lane[v + kPrefetchAhead]]);
+          }
+          state[v] = table[lane[v]];
+        }
+      });
+}
+
+}  // namespace
+
+TwoTournamentOutcome two_tournament(Engine& engine, std::vector<Key>& state,
+                                    double phi, double eps,
+                                    bool truncate_last) {
+  GQ_REQUIRE(phi >= 0.0 && phi <= 1.0, "phi must lie in [0,1]");
+  GQ_REQUIRE(eps > 0.0 && eps < 0.5, "eps must lie in (0, 1/2)");
+  TwoTournamentOutcome out;
+  const auto [side, start] = tournament_side(phi, eps);
+  out.side = side;
+  out.schedule = two_tournament_schedule(start, eps);
+  multi_tournament_begin(engine, state, 1);
+  MultiLaneStep step;
+  step.active = true;
+  step.suppress_high = side == TournamentSide::kSuppressHigh;
+  for (; out.iterations < out.schedule.iterations(); ++out.iterations) {
+    step.delta = truncate_last ? out.schedule.delta[out.iterations] : 1.0;
+    multi_two_iteration(engine, {&step, 1});
+  }
+  multi_export_single(engine, state);
+  return out;
+}
+
+ThreeTournamentOutcome three_tournament(Engine& engine,
+                                        std::vector<Key>& state, double eps,
+                                        std::uint32_t final_sample_size) {
+  GQ_REQUIRE(eps > 0.0 && eps < 0.5, "eps must lie in (0, 1/2)");
+  GQ_REQUIRE(final_sample_size >= 1, "final sample size must be positive");
+  ThreeTournamentOutcome out;
+  out.schedule = three_tournament_schedule(eps, engine.size());
+  multi_tournament_begin(engine, state, 1);
+  for (; out.iterations < out.schedule.iterations(); ++out.iterations) {
+    multi_three_iteration(engine);
+  }
+  std::vector<std::vector<Key>> outputs;
+  multi_final_sample(engine, final_sample_size | 1u, outputs);
+  out.outputs = std::move(outputs.front());
+  multi_export_single(engine, state);
+  return out;
 }
 
 // ---- robust (failure-model) kernels ---------------------------------------

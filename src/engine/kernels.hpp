@@ -2,14 +2,22 @@
 //
 // These run the core/ algorithms as sharded round kernels over contiguous
 // engine-pooled state: no virtual dispatch, no per-node allocation, one to
-// three parallel sections per gossip round.  State lives in two ping-pong
-// lanes of 32-bit *interned key ranks* (sim/key_intern.hpp): the state's
-// distinct keys are interned into a sorted table once per kernel — reused
-// across the consecutive kernels of one pipeline via an exactly-verified
-// session — and commits read lane A / write lane B, so A doubles as the
+// three parallel sections per gossip round.  Tournament state lives in
+// ping-pong lanes of 32-bit *interned key ranks* (sim/key_intern.hpp) at
+// every n: the state's distinct keys are interned into a sorted table once
+// — and the sort is skipped when an exactly-verified session (see
+// adopt_intern_session) already encodes them — and commits read the live
+// lane and write the other, so the live lane doubles as the
 // iteration-start snapshot with no copy.  Rank order is key order, so
 // min/max/median commits decide identically while a random peer gather
 // touches a 4-byte entry (16 per cache line) instead of a Key record.
+//
+// There is one failure-free tournament implementation: the q-lane
+// kernels below.  The single-target two_tournament / three_tournament are
+// thin q = 1 drivers over them, and the Engine's approx pipeline runs its
+// Phase 1, Phase 2 and final sample on them with one lane.  Only median
+// dynamics (the [DGM+11] baseline) keeps pooled Key buffers: its runs are
+// a few iterations, too short to amortise the intern sort.
 //
 // Hot loops are *blocked*: for each block of EngineConfig::gather_block
 // nodes a round first materialises the block's peer picks into pooled
@@ -79,11 +87,14 @@ RuntimeResult median_dynamics(Engine& engine, std::vector<Key>& state,
                               std::uint64_t bits_per_message);
 
 // Algorithm 1 (2-TOURNAMENT) on the engine; see core/two_tournament.hpp.
+// A q = 1 driver over the multi-lane kernels; writes the final
+// configuration back into `state`.
 TwoTournamentOutcome two_tournament(Engine& engine, std::vector<Key>& state,
                                     double phi, double eps,
                                     bool truncate_last = true);
 
 // Algorithm 2 (3-TOURNAMENT) on the engine; see core/three_tournament.hpp.
+// A q = 1 driver like two_tournament.
 ThreeTournamentOutcome three_tournament(Engine& engine,
                                         std::vector<Key>& state, double eps,
                                         std::uint32_t final_sample_size = 15);
@@ -111,20 +122,18 @@ std::uint64_t robust_coverage(Engine& engine, std::vector<Key>& outputs,
 // ---- shared-schedule multi-quantile kernels (core/multi_pipeline.hpp) -----
 //
 // Per-node state is a node-major q-lane matrix of interned ranks (q lanes
-// x 4 bytes: q = 16 lanes fit one cache line), ping-ponged like the single
-// lanes above; one peer draw per node per round serves every lane, and the
-// blocked gather prefetches whole peer *rows*.  The key multiset is
-// interned ONCE in multi_tournament_begin — always interned, regardless of
-// EngineConfig::intern_min_nodes: a Key-typed lane matrix would duplicate
-// every kernel for a representation that is unobservable (same draws, same
-// commits, same Metrics), and the one O(n log n) sort is amortised over q
-// lanes of gather rounds.  The intern session's lane A is left untouched,
-// so a service session's adopted encoding stays valid across multi runs.
+// x 4 bytes: q = 16 lanes fit one cache line); one peer draw per node per
+// round serves every lane, and the blocked gather prefetches whole peer
+// *rows*.  The key multiset is interned ONCE in multi_tournament_begin
+// (or verified against a live session), and the intern session's lane A
+// is never rewritten, so a service session's adopted encoding — or the
+// previous run's — stays valid across runs on the same keys.
 //
 // Failure-free only: the shared control flow routes robust runs through
 // per-target robust pipelines (see core/multi_pipeline.hpp).  Driven by
-// engine/pipelines.cpp through the shared template; bit-identity against
-// the sequential core/multi_quantile.cpp instantiation is pinned by
+// engine/pipelines.cpp through the shared template (for multi_quantile,
+// and with one lane for approx_quantile); bit-identity against the
+// sequential core/multi_quantile.cpp instantiation is pinned by
 // tests/test_engine_multi.cpp at 1/2/8 threads.
 void multi_tournament_begin(Engine& engine, std::span<const Key> keys,
                             std::uint32_t lanes);
@@ -141,11 +150,11 @@ void multi_final_sample(Engine& engine, std::uint32_t k_samples,
 // rank of node v's key.  The next kernel's existing exact verify pass
 // (state[v] == table[lanes[v]]) then hits and the O(n log n) intern sort is
 // skipped; a caller handing over a stale or wrong encoding just fails the
-// verify and pays a fresh intern, never a wrong answer.  Only the interned
-// representation consults the session (n >= EngineConfig::intern_min_nodes;
-// below it the kernels run on pooled Key buffers), and a kernel that
-// mutates the key multiset mid-pipeline (the exact pipeline's duplication
-// step) re-interns exactly as it would cold.
+// verify and pays a fresh intern, never a wrong answer.  Every tournament
+// kernel consults the session at every n (median dynamics, which never
+// interns, ignores it), and a kernel that mutates the key multiset
+// mid-pipeline (the exact pipeline's duplication step) re-interns exactly
+// as it would cold.
 void adopt_intern_session(Engine& engine, std::span<const Key> table,
                           std::span<const std::uint32_t> lanes);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <cmath>
 #include <stdexcept>
 
 #include <atomic>
@@ -13,6 +12,7 @@
 #include "analysis/theory_bounds.hpp"
 #include "core/approx_pipeline.hpp"
 #include "core/exact_pipeline.hpp"
+#include "core/own_rank.hpp"
 #include "engine/arena.hpp"
 #include "engine/kernels.hpp"
 #include "engine/scatter.hpp"
@@ -646,52 +646,12 @@ struct EngineExactOps {
   }
 };
 
-// The engine instantiation of the shared approximate-pipeline control flow
-// in core/approx_pipeline.hpp; the sequential twin lives in
-// core/approx_quantile.cpp.
-struct EngineApproxOps {
-  Engine& engine;
-
-  [[nodiscard]] std::uint32_t size() const { return engine.size(); }
-  [[nodiscard]] const Metrics& metrics() const { return engine.metrics(); }
-  [[nodiscard]] bool faultless() const { return engine.faultless(); }
-
-  ExactQuantileResult exact(std::span<const Key> keys,
-                            const ExactQuantileParams& params) {
-    return exact_quantile_keys(engine, keys, params);
-  }
-  TwoTournamentOutcome two(std::vector<Key>& state, double phi, double eps,
-                           bool truncate_last) {
-    return two_tournament(engine, state, phi, eps, truncate_last);
-  }
-  ThreeTournamentOutcome three(std::vector<Key>& state, double eps,
-                               std::uint32_t final_sample_size) {
-    return three_tournament(engine, state, eps, final_sample_size);
-  }
-  RobustTwoTournamentOutcome robust_two(std::vector<Key>& state,
-                                        std::vector<bool>& good, double phi,
-                                        double eps, bool truncate_last) {
-    return robust_two_tournament(engine, state, good, phi, eps,
-                                 truncate_last);
-  }
-  RobustThreeTournamentOutcome robust_three(std::vector<Key>& state,
-                                            std::vector<bool>& good,
-                                            double eps,
-                                            std::uint32_t final_sample_size) {
-    return robust_three_tournament(engine, state, good, eps,
-                                   final_sample_size);
-  }
-  std::uint64_t coverage(std::vector<Key>& outputs, std::vector<bool>& valid,
-                         std::uint32_t t) {
-    return robust_coverage(engine, outputs, valid, t);
-  }
-};
-
 // The engine instantiation of the shared multi-quantile control flow in
 // core/multi_pipeline.hpp; the sequential twin lives in
 // core/multi_quantile.cpp.  Thin forwarders to the multi-lane kernels in
 // engine/kernels.cpp, plus the single-target approx pipeline for the
-// deduped fallback route.
+// deduped fallback route.  The single-target approx pipeline in turn runs
+// its failure-free tournament through these ops with one lane.
 struct EngineMultiOps {
   Engine& engine;
 
@@ -713,6 +673,51 @@ struct EngineMultiOps {
   void final_sample(std::uint32_t k_samples,
                     std::vector<std::vector<Key>>& outputs) {
     multi_final_sample(engine, k_samples, outputs);
+  }
+};
+
+// The engine instantiation of the shared approximate-pipeline control flow
+// in core/approx_pipeline.hpp; the sequential twin lives in
+// core/approx_quantile.cpp.
+struct EngineApproxOps {
+  Engine& engine;
+
+  [[nodiscard]] std::uint32_t size() const { return engine.size(); }
+  [[nodiscard]] const Metrics& metrics() const { return engine.metrics(); }
+  [[nodiscard]] bool faultless() const { return engine.faultless(); }
+
+  ExactQuantileResult exact(std::span<const Key> keys,
+                            const ExactQuantileParams& params) {
+    return exact_quantile_keys(engine, keys, params);
+  }
+  approx_detail::TournamentRun tournament(
+      std::span<const Key> keys, const ApproxQuantileParams& params,
+      double phase2_eps) {
+    const multi_detail::MultiLaneSpec lane = multi_detail::lane_spec(
+        params.phi, params.eps, params.truncate_last);
+    EngineMultiOps multi{engine};
+    multi_detail::SharedRun run =
+        multi_detail::run_shared_schedule<approx_detail::ApproxPhaseSpans>(
+            multi, keys, {&lane, 1}, phase2_eps, params.final_sample_size);
+    return {lane.schedule.iterations(), run.phase2_iterations,
+            std::move(run.outputs.front())};
+  }
+  RobustTwoTournamentOutcome robust_two(std::vector<Key>& state,
+                                        std::vector<bool>& good, double phi,
+                                        double eps, bool truncate_last) {
+    return robust_two_tournament(engine, state, good, phi, eps,
+                                 truncate_last);
+  }
+  RobustThreeTournamentOutcome robust_three(std::vector<Key>& state,
+                                            std::vector<bool>& good,
+                                            double eps,
+                                            std::uint32_t final_sample_size) {
+    return robust_three_tournament(engine, state, good, eps,
+                                   final_sample_size);
+  }
+  std::uint64_t coverage(std::vector<Key>& outputs, std::vector<bool>& valid,
+                         std::uint32_t t) {
+    return robust_coverage(engine, outputs, valid, t);
   }
 };
 
@@ -762,46 +767,7 @@ ExactQuantileResult exact_quantile(Engine& engine,
 
 OwnRankResult own_rank(Engine& engine, std::span<const double> values,
                        const OwnRankParams& params) {
-  const std::uint32_t n = engine.size();
-  GQ_REQUIRE(values.size() == n, "one value per node required");
-  GQ_REQUIRE(params.eps > 0.0 && params.eps < 0.5,
-             "eps must lie in (0, 1/2)");
-
-  const std::vector<Key> keys = make_keys(values);
-  const double grid = params.eps / 2.0;
-  const auto runs = static_cast<std::size_t>(std::ceil(1.0 / grid)) - 1;
-
-  const Metrics before = engine.metrics();
-  OwnRankResult out;
-  out.quantile_runs = runs;
-  out.valid.assign(n, true);
-  std::vector<std::size_t> below(n, 0);
-
-  ApproxQuantileParams ap;
-  ap.eps = params.eps / 4.0;
-  ap.final_sample_size = params.final_sample_size;
-  for (std::size_t j = 1; j <= runs; ++j) {
-    ap.phi = std::min(1.0, grid * static_cast<double>(j));
-    const ApproxQuantileResult r = approx_quantile_keys(engine, keys, ap);
-    for (std::uint32_t v = 0; v < n; ++v) {
-      if (!r.valid[v]) {
-        out.valid[v] = false;
-        continue;
-      }
-      if (r.outputs[v] < keys[v]) ++below[v];
-    }
-  }
-
-  out.estimates.resize(n);
-  engine.parallel_shards(
-      [&](std::uint32_t begin, std::uint32_t end, Metrics&) {
-        for (std::uint32_t v = begin; v < end; ++v) {
-          out.estimates[v] =
-              std::min(1.0, (static_cast<double>(below[v]) + 0.5) * grid);
-        }
-      });
-  out.rounds = engine.metrics().rounds - before.rounds;
-  return out;
+  return own_rank_detail::own_rank_impl(engine, values, params);
 }
 
 }  // namespace gq

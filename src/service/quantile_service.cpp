@@ -71,6 +71,7 @@ QuantileService::Stream& QuantileService::live_stream(std::uint32_t node) {
 }
 
 void QuantileService::ingest(std::uint32_t node, double value) {
+  GQ_REQUIRE(std::isfinite(value), "ingested values must be finite");
   live_stream(node).ingest(value);
   ++ingested_;
   dirty_ = true;
@@ -78,6 +79,10 @@ void QuantileService::ingest(std::uint32_t node, double value) {
 
 void QuantileService::ingest(std::uint32_t node,
                              std::span<const double> values) {
+  // Checked up front so a rejected batch leaves the stream untouched.
+  GQ_REQUIRE(std::all_of(values.begin(), values.end(),
+                         [](double v) { return std::isfinite(v); }),
+             "ingested values must be finite");
   live_stream(node).ingest(values);
   ingested_ += values.size();
   dirty_ = true;
@@ -213,6 +218,13 @@ QueryReply QuantileService::run_resilient(const QueryRequest& request,
   GQ_REQUIRE(
       request.kind != QueryKind::kMultiQuantile || !request.phis.empty(),
       "kMultiQuantile needs at least one target");
+  GQ_REQUIRE(request.kind != QueryKind::kRank || std::isfinite(request.value),
+             "kRank probe value must be finite");
+  GQ_REQUIRE(request.kind != QueryKind::kCdf ||
+                 std::all_of(request.cdf_points.begin(),
+                             request.cdf_points.end(),
+                             [](double p) { return std::isfinite(p); }),
+             "kCdf probe points must be finite");
 
   Breaker& breaker = breakers_[static_cast<std::size_t>(request.kind)];
   ++breaker.kind_queries;

@@ -1,7 +1,7 @@
 // Order-preserving key interning: the compact-lane representation behind
 // the engine's tournament kernels.
 //
-// A tournament/median-dynamics round never creates key values — it only
+// A tournament round never creates key values — it only
 // copies and compares them — so the whole evolving state is a multiset over
 // the distinct keys of the *initial* state.  Interning builds the sorted
 // dictionary of those distinct keys once and replaces every state entry by

@@ -11,6 +11,9 @@ namespace gq {
 
 // Wraps each value into a Key tie-broken by node id.  The i-th key belongs
 // to node i.  Resulting keys are pairwise distinct whenever ids are.
+// Throws std::invalid_argument on a non-finite value: NaN leaves Key's
+// order unordered, and +inf reads as Key::infinite(), the "no value"
+// marker.  Every `values` entry point of both executors goes through here.
 [[nodiscard]] std::vector<Key> make_keys(std::span<const double> values);
 
 // Projects keys back to application values.

@@ -4,7 +4,9 @@
 // without a failure model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -13,6 +15,7 @@
 #include "agg/spread.hpp"
 #include "core/approx_quantile.hpp"
 #include "core/exact_quantile.hpp"
+#include "core/multi_quantile.hpp"
 #include "core/own_rank.hpp"
 #include "core/pivot.hpp"
 #include "core/token_split.hpp"
@@ -23,6 +26,7 @@
 #include "engine/scatter.hpp"
 #include "engine/thread_pool.hpp"
 #include "runtime/protocol.hpp"
+#include "sim/key_intern.hpp"
 #include "sim/network.hpp"
 #include "wire/codec.hpp"
 #include "workload/distributions.hpp"
@@ -529,19 +533,18 @@ TEST(EnginePipelines, ApproxQuantileMatchesCore) {
     const ApproxQuantileResult seq = approx_quantile(net, values, params);
 
     for (unsigned threads : kThreadCounts) {
-      // Both state representations (interned lanes with cross-kernel
-      // session reuse at intern_min 1, pooled Key buffers at the default
-      // threshold) must be unobservable at the pipeline level too.
-      for (const std::uint32_t intern_min : {1u, 0u}) {
+      // The q = 1 lane kernels the pipeline runs on must be unobservable
+      // at every gather block (0 = the tuned default).
+      for (const std::uint32_t block : {0u, 1u, 7u}) {
         Engine engine(kN, kSeed, FailureModel{},
                       EngineConfig{.threads = threads,
                                    .shard_size = 192,
-                                   .intern_min_nodes = intern_min});
+                                   .gather_block = block});
         const ApproxQuantileResult par =
             approx_quantile(engine, values, params);
         EXPECT_EQ(par.outputs, seq.outputs)
             << "threads=" << threads << " phi=" << phi
-            << " intern_min=" << intern_min;
+            << " block=" << block;
         EXPECT_EQ(par.valid, seq.valid);
         EXPECT_EQ(par.phase1_iterations, seq.phase1_iterations);
         EXPECT_EQ(par.phase2_iterations, seq.phase2_iterations);
@@ -549,7 +552,7 @@ TEST(EnginePipelines, ApproxQuantileMatchesCore) {
         EXPECT_EQ(par.used_exact_fallback, seq.used_exact_fallback);
         EXPECT_EQ(engine.metrics(), net.metrics())
             << "threads=" << threads << " phi=" << phi
-            << " intern_min=" << intern_min;
+            << " block=" << block;
       }
     }
   }
@@ -577,6 +580,118 @@ TEST(EnginePipelines, ApproxExactFallbackMatchesCore) {
     EXPECT_EQ(par.valid, seq.valid);
     EXPECT_EQ(par.rounds, seq.rounds);
     EXPECT_EQ(engine.metrics(), net.metrics()) << "threads=" << threads;
+  }
+}
+
+// The pipeline's two ablation switches reach the lane kernels unchanged:
+// truncate_last = false runs every Phase-1 step with delta 1.0, and
+// force_tournament runs the tournament below the eps floor.
+TEST(EnginePipelines, ApproxAblationSwitchesMatchCore) {
+  constexpr std::uint32_t kN = 2048;
+  constexpr std::uint64_t kSeed = 409;
+  const auto values = generate_values(Distribution::kUniformReal, kN, 31);
+
+  ApproxQuantileParams untruncated;
+  untruncated.phi = 0.8;
+  untruncated.eps = 0.2;
+  untruncated.truncate_last = false;
+  ApproxQuantileParams forced;
+  forced.phi = 0.3;
+  forced.eps = 0.05;  // below eps_tournament_floor(2048)
+  forced.force_tournament = true;
+
+  for (const ApproxQuantileParams& params : {untruncated, forced}) {
+    Network net(kN, kSeed);
+    const ApproxQuantileResult seq = approx_quantile(net, values, params);
+    ASSERT_FALSE(seq.used_exact_fallback);
+    ASSERT_GT(seq.phase1_iterations, 0u);
+
+    for (unsigned threads : kThreadCounts) {
+      Engine engine(kN, kSeed, FailureModel{}, config_for(threads));
+      const ApproxQuantileResult par =
+          approx_quantile(engine, values, params);
+      EXPECT_EQ(par.outputs, seq.outputs)
+          << "threads=" << threads << " truncate=" << params.truncate_last;
+      EXPECT_EQ(par.phase1_iterations, seq.phase1_iterations);
+      EXPECT_EQ(par.phase2_iterations, seq.phase2_iterations);
+      EXPECT_EQ(par.rounds, seq.rounds);
+      EXPECT_EQ(engine.metrics(), net.metrics())
+          << "threads=" << threads << " truncate=" << params.truncate_last;
+    }
+  }
+}
+
+// A warm engine whose intern session already encodes the keys — left by a
+// multi_quantile on them, or adopted from outside as the service does —
+// skips the intern sort, and that must be unobservable: the approx run
+// equals a cold engine's in outputs, rounds and Metrics.
+TEST(EnginePipelines, ApproxOnLiveSessionMatchesColdRun) {
+  constexpr std::uint32_t kN = 4096;
+  constexpr std::uint64_t kSeed = 413;
+  const auto keys =
+      make_keys(generate_values(Distribution::kExponential, kN, 37));
+  ApproxQuantileParams params;
+  params.phi = 0.9;
+  params.eps = 0.15;
+
+  for (unsigned threads : kThreadCounts) {
+    Engine cold(kN, kSeed, FailureModel{}, config_for(threads));
+    const ApproxQuantileResult want = approx_quantile_keys(cold, keys, params);
+
+    for (const bool adopted : {false, true}) {
+      Engine warm(kN, kSeed + 1, FailureModel{}, config_for(threads));
+      if (adopted) {
+        KeyInterner interner;
+        std::vector<std::uint32_t> ranks(kN);
+        interner.intern(keys, ranks);
+        adopt_intern_session(warm, interner.table(), ranks);
+      } else {
+        MultiQuantileParams mp;
+        mp.phis = {0.1, 0.5};
+        mp.eps = params.eps;
+        (void)multi_quantile_keys(warm, keys, mp);
+      }
+      warm.reset_stream(kSeed);
+      const Metrics before = warm.metrics();
+      const ApproxQuantileResult got = approx_quantile_keys(warm, keys, params);
+      EXPECT_EQ(got.outputs, want.outputs)
+          << "threads=" << threads << " adopted=" << adopted;
+      EXPECT_EQ(got.rounds, want.rounds);
+      EXPECT_EQ(warm.metrics().since(before), cold.metrics())
+          << "threads=" << threads << " adopted=" << adopted;
+    }
+  }
+}
+
+// Non-finite values are rejected at make_keys, before any gossip: NaN
+// leaves Key's order unordered and +inf is the valueless marker.
+TEST(EnginePipelines, RejectNonFiniteValues) {
+  constexpr std::uint32_t kN = 256;
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    auto values = generate_values(Distribution::kUniformReal, kN, 3);
+    values[kN / 2] = bad;
+    Network net(kN, 5);
+    Engine engine(kN, 5, FailureModel{}, config_for(2));
+    EXPECT_THROW((void)approx_quantile(net, values, {}),
+                 std::invalid_argument);
+    EXPECT_THROW((void)approx_quantile(engine, values, {}),
+                 std::invalid_argument);
+    EXPECT_THROW((void)exact_quantile(net, values, {}),
+                 std::invalid_argument);
+    EXPECT_THROW((void)exact_quantile(engine, values, {}),
+                 std::invalid_argument);
+    MultiQuantileParams mp;
+    mp.phis = {0.5, 0.9};
+    EXPECT_THROW((void)multi_quantile(net, values, mp),
+                 std::invalid_argument);
+    EXPECT_THROW((void)multi_quantile(engine, values, mp),
+                 std::invalid_argument);
+    EXPECT_THROW((void)own_rank(net, values, {}), std::invalid_argument);
+    EXPECT_THROW((void)own_rank(engine, values, {}), std::invalid_argument);
+    EXPECT_EQ(net.metrics().rounds, 0u);
+    EXPECT_EQ(engine.metrics().rounds, 0u);
   }
 }
 
@@ -754,51 +869,37 @@ TEST(EngineKernels, GatherBlockSweepMatchesCoreForEveryKernel) {
 
   for (unsigned threads : kThreadCounts) {
     for (const std::uint32_t block : {1u, 7u, 64u, 1u << 20}) {
-      // intern_min_nodes 1 forces the interned-rank lanes, the default
-      // (kN < 2^16) the pooled Key buffers: both representations must
-      // reproduce the sequential transcript at every block size.
-      for (const std::uint32_t intern_min : {1u, 0u}) {
-        EngineConfig cfg{.threads = threads,
-                         .shard_size = 192,
-                         .gather_block = block,
-                         .intern_min_nodes = intern_min};
-        {
-          Engine engine(kN, kSeed, FailureModel{}, cfg);
-          std::vector<Key> state(keys.begin(), keys.end());
-          const auto par = two_tournament(engine, state, 0.3, 0.1);
-          EXPECT_EQ(par.iterations, seq_two.iterations);
-          EXPECT_EQ(state, seq_two_state)
-              << "threads=" << threads << " block=" << block
-              << " intern_min=" << intern_min;
-          EXPECT_EQ(engine.metrics(), net_two.metrics())
-              << "threads=" << threads << " block=" << block
-              << " intern_min=" << intern_min;
-        }
-        {
-          Engine engine(kN, kSeed, FailureModel{}, cfg);
-          std::vector<Key> state(keys.begin(), keys.end());
-          const auto par = three_tournament(engine, state, 0.1);
-          EXPECT_EQ(par.iterations, seq_three.iterations);
-          EXPECT_EQ(par.outputs, seq_three.outputs)
-              << "threads=" << threads << " block=" << block
-              << " intern_min=" << intern_min;
-          EXPECT_EQ(state, seq_three_state)
-              << "threads=" << threads << " block=" << block
-              << " intern_min=" << intern_min;
-          EXPECT_EQ(engine.metrics(), net_three.metrics())
-              << "threads=" << threads << " block=" << block
-              << " intern_min=" << intern_min;
-        }
+      const EngineConfig cfg{
+          .threads = threads, .shard_size = 192, .gather_block = block};
+      {
+        Engine engine(kN, kSeed, FailureModel{}, cfg);
+        std::vector<Key> state(keys.begin(), keys.end());
+        const auto par = two_tournament(engine, state, 0.3, 0.1);
+        EXPECT_EQ(par.iterations, seq_two.iterations);
+        EXPECT_EQ(state, seq_two_state)
+            << "threads=" << threads << " block=" << block;
+        EXPECT_EQ(engine.metrics(), net_two.metrics())
+            << "threads=" << threads << " block=" << block;
+      }
+      {
+        Engine engine(kN, kSeed, FailureModel{}, cfg);
+        std::vector<Key> state(keys.begin(), keys.end());
+        const auto par = three_tournament(engine, state, 0.1);
+        EXPECT_EQ(par.iterations, seq_three.iterations);
+        EXPECT_EQ(par.outputs, seq_three.outputs)
+            << "threads=" << threads << " block=" << block;
+        EXPECT_EQ(state, seq_three_state)
+            << "threads=" << threads << " block=" << block;
+        EXPECT_EQ(engine.metrics(), net_three.metrics())
+            << "threads=" << threads << " block=" << block;
       }
     }
   }
 }
 
 // Same sweep for median dynamics under a failure model, where the blocked
-// commit must handle kNoPeer picks (failed pulls) in both gather slots.
-// 3 iterations run the short-run Key-buffer representation, 8 the interned
-// lanes (see the threshold in median_dynamics); both must reproduce the
-// sequential protocol path exactly.
+// commit must handle kNoPeer picks (failed pulls) in both gather slots, at
+// a short and a longer iteration count.
 TEST(EngineKernels, MedianDynamicsBlockSweepUnderFailures) {
   constexpr std::uint32_t kN = 2048;
   constexpr std::uint64_t kSeed = 137;
@@ -816,13 +917,10 @@ TEST(EngineKernels, MedianDynamicsBlockSweepUnderFailures) {
 
     for (unsigned threads : kThreadCounts) {
       for (const std::uint32_t block : {3u, 256u}) {
-        // intern_min_nodes = 1 lets the iteration count alone choose the
-        // representation here: 3 iterations run Key buffers, 8 the lanes.
         Engine engine(kN, kSeed, fm,
                       EngineConfig{.threads = threads,
                                    .shard_size = 192,
-                                   .gather_block = block,
-                                   .intern_min_nodes = 1});
+                                   .gather_block = block});
         std::vector<Key> state(keys.begin(), keys.end());
         const RuntimeResult ker =
             median_dynamics(engine, state, iterations, 1000, bits);
@@ -839,8 +937,8 @@ TEST(EngineKernels, MedianDynamicsBlockSweepUnderFailures) {
 }
 
 // Oversized final sampling (K above the kernels' stack-buffer bound, 64)
-// routes the per-shard pick/sample slices through the pooled wide lanes —
-// for both state representations — and must stay bit-identical.
+// routes the per-shard pick/sample slices through the pooled wide lanes
+// and must stay bit-identical at every gather block.
 TEST(EngineKernels, ThreeTournamentOversizedFinalSampleMatchesCore) {
   constexpr std::uint32_t kN = 1024;
   constexpr std::uint64_t kSeed = 151;
@@ -853,50 +951,51 @@ TEST(EngineKernels, ThreeTournamentOversizedFinalSampleMatchesCore) {
   const auto seq = three_tournament(net, seq_state, 0.1, kBigK);
 
   for (unsigned threads : {1u, 8u}) {
-    for (const std::uint32_t intern_min : {1u, 0u}) {
+    for (const std::uint32_t block : {0u, 7u}) {
       Engine engine(kN, kSeed, FailureModel{},
                     EngineConfig{.threads = threads,
                                  .shard_size = 192,
-                                 .intern_min_nodes = intern_min});
+                                 .gather_block = block});
       std::vector<Key> state(keys.begin(), keys.end());
       const auto par = three_tournament(engine, state, 0.1, kBigK);
       EXPECT_EQ(par.outputs, seq.outputs)
-          << "threads=" << threads << " intern_min=" << intern_min;
+          << "threads=" << threads << " block=" << block;
       EXPECT_EQ(state, seq_state)
-          << "threads=" << threads << " intern_min=" << intern_min;
+          << "threads=" << threads << " block=" << block;
       EXPECT_EQ(engine.metrics(), net.metrics())
-          << "threads=" << threads << " intern_min=" << intern_min;
+          << "threads=" << threads << " block=" << block;
     }
   }
 }
 
-// Consecutive kernels on one engine share an interned-lane session; the
-// reuse check is an exact compare pass, so mutating the state vector
-// between calls — even to a key outside the interned table — must trigger
-// a re-intern, never serve stale lanes.
+// Consecutive kernels on one engine share an interned-lane session (the
+// lane kernels leave it encoding the keys they started from); the reuse
+// check is an exact compare pass, so handing the next kernel a different
+// arrangement of those keys — here rotated by one node, plus one key
+// outside the interned table — must trigger a re-intern, never serve
+// stale lanes.
 TEST(EngineKernels, InternedSessionDetectsStateMutationBetweenCalls) {
   constexpr std::uint32_t kN = 1024;
   constexpr std::uint64_t kSeed = 139;
   const auto keys =
       make_keys(generate_values(Distribution::kUniformReal, kN, 53));
   const Key foreign{-123.25, 99999, 7};  // not in the original key set
+  std::vector<Key> mutated(keys.begin(), keys.end());
+  std::rotate(mutated.begin(), mutated.begin() + 1, mutated.end());
+  mutated[17] = foreign;
 
   Network net(kN, kSeed);
   std::vector<Key> seq_state(keys.begin(), keys.end());
   (void)two_tournament(net, seq_state, 0.4, 0.1);
-  seq_state[17] = foreign;
+  seq_state = mutated;
   const auto seq_out = three_tournament(net, seq_state, 0.1);
 
   for (unsigned threads : kThreadCounts) {
-    // intern_min_nodes = 1 forces the interned lanes (the session under
-    // test) at this small n.
     Engine engine(kN, kSeed, FailureModel{},
-                  EngineConfig{.threads = threads,
-                               .shard_size = 192,
-                               .intern_min_nodes = 1});
+                  EngineConfig{.threads = threads, .shard_size = 192});
     std::vector<Key> state(keys.begin(), keys.end());
     (void)two_tournament(engine, state, 0.4, 0.1);
-    state[17] = foreign;  // invalidate the session behind the engine's back
+    state = mutated;  // no longer what the live session encodes
     const auto par_out = three_tournament(engine, state, 0.1);
     EXPECT_EQ(par_out.outputs, seq_out.outputs) << "threads=" << threads;
     EXPECT_EQ(state, seq_state) << "threads=" << threads;

@@ -153,14 +153,13 @@ TEST(EngineSteadyState, TournamentRoundsAllocateNothingAfterWarmup) {
   }();
 
   for (unsigned threads : {1u, 2u, 8u}) {
-    // intern_min_nodes 1 pins the interned-lane representation (index
-    // lanes, sort buffer, table, session verify pass); the default (kN
-    // below the threshold) pins the pooled Key-buffer representation.
-    for (const std::uint32_t intern_min : {1u, 0u}) {
+    // Index lanes, sort buffer, table and session verify pass: all pooled,
+    // at every gather block (0 = the tuned default).
+    for (const std::uint32_t block : {0u, 7u}) {
       Engine engine(kN, 23, FailureModel{},
                     EngineConfig{.threads = threads,
                                  .shard_size = 256,
-                                 .intern_min_nodes = intern_min});
+                                 .gather_block = block});
 
       std::vector<Key> state(keys.begin(), keys.end());
       (void)two_tournament(engine, state, kPhi, kEps);  // warmup
@@ -174,7 +173,7 @@ TEST(EngineSteadyState, TournamentRoundsAllocateNothingAfterWarmup) {
 
       // Session miss: one mutated key forces a full re-intern (sort +
       // table rebuild), which must still run entirely on warm pooled
-      // buffers.  (On the Key-buffer path this is just another run.)
+      // buffers.
       std::vector<Key> state3(keys.begin(), keys.end());
       state3[kN / 2] = keys[0];  // duplicate: shrinks the distinct table
       const std::uint64_t miss_before =
@@ -185,9 +184,9 @@ TEST(EngineSteadyState, TournamentRoundsAllocateNothingAfterWarmup) {
 
 #if GQ_ALLOC_COUNTS_RELIABLE
       EXPECT_EQ(session_hit_allocs, schedule_allocs)
-          << "threads=" << threads << " intern_min=" << intern_min;
+          << "threads=" << threads << " block=" << block;
       EXPECT_EQ(session_miss_allocs, schedule_allocs)
-          << "threads=" << threads << " intern_min=" << intern_min;
+          << "threads=" << threads << " block=" << block;
 #else
       (void)session_hit_allocs;
       (void)session_miss_allocs;

@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <span>
 #include <vector>
 
@@ -424,6 +426,42 @@ TEST(Service, FailureModelQueriesStayWarmColdIdentical) {
   EXPECT_LE(warm.served, warm.nodes);
   EXPECT_GE(warm.served, warm.nodes * 3 / 4);  // robust coverage serves most
   expect_same_answer(warm, cold_quantile_reply(service, warm, request));
+}
+
+// Non-finite values never enter a node stream or a probe: NaN breaks the
+// key order every intern and sort relies on, and +inf is the valueless
+// marker.  A rejected batch leaves the stream untouched, and the service
+// keeps answering.
+TEST(Service, RejectsNonFiniteIngestAndProbes) {
+  constexpr std::uint32_t kNodes = 64;
+  QuantileService service(kNodes, service_config(2));
+  ingest_fixture(service, kNodes, 4, 17);
+  const std::uint64_t ingested = service.stats().ingested;
+
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(service.ingest(3, bad), std::invalid_argument);
+    const std::vector<double> batch = {0.25, bad, 0.75};
+    EXPECT_THROW(service.ingest(3, batch), std::invalid_argument);
+
+    QueryRequest rank;
+    rank.kind = QueryKind::kRank;
+    rank.value = bad;
+    EXPECT_THROW((void)service.query(rank), std::invalid_argument);
+    QueryRequest cdf;
+    cdf.kind = QueryKind::kCdf;
+    cdf.cdf_points = {0.1, bad};
+    EXPECT_THROW((void)service.query(cdf), std::invalid_argument);
+  }
+  EXPECT_EQ(service.stats().ingested, ingested);
+
+  QueryRequest rank;
+  rank.kind = QueryKind::kRank;
+  rank.value = 0.5;
+  std::uint64_t truth = 0;
+  for (const Key& k : service.epoch_keys()) truth += k.value <= 0.5 ? 1 : 0;
+  EXPECT_EQ(service.query(rank).count, truth);
 }
 
 // ---- interner session: incremental extend == full re-intern ---------------

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -127,6 +128,18 @@ TEST(LatencyTrace, HasHeavyTail) {
 
 TEST(Tiebreak, RejectsEmptyInput) {
   EXPECT_THROW((void)make_keys({}), std::invalid_argument);
+}
+
+TEST(Tiebreak, RejectsNonFiniteValues) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, -inf}) {
+    const std::vector<double> xs = {1.0, bad, 3.0};
+    EXPECT_THROW((void)make_keys(xs), std::invalid_argument);
+  }
+  const std::vector<double> extremes = {std::numeric_limits<double>::max(),
+                                        std::numeric_limits<double>::lowest()};
+  EXPECT_EQ(make_keys(extremes).size(), 2u);
 }
 
 TEST(Tiebreak, IdsMatchNodeIndices) {
