@@ -6,9 +6,9 @@
 //     (phi, eps), not by the adversary, so rounds stay flat while served
 //     fraction and corruption exposure absorb the pressure — the
 //     graceful-degradation contract, measured;
-//   * oblivious baseline: ObliviousAdversary(mu) rows — the model is
-//     absorbed into the executor's FailureModel, its losses land in
-//     failed_operations, and the filter absorbs those too;
+//   * oblivious baseline: FailureModel::uniform(mu) rows — the
+//     executor's own oblivious loss lands in failed_operations, and the
+//     filter absorbs those too;
 //   * throughput: Network reference vs Engine thread sweep per strategy,
 //     bit-identical transcripts (pinned by tests/test_adversary.cpp), so
 //     speedups are pure throughput.
@@ -161,10 +161,10 @@ void mean_sweep_table(std::uint32_t n) {
   table.print();
 }
 
-// The oblivious baseline: ObliviousAdversary(mu) is absorbed into the
-// executor's FailureModel, so its pressure lands in failed_operations —
-// and the filter absorbs those too, same flat round count.  The rows
-// quantify how much loss the fixed schedule shrugs off.
+// The oblivious baseline: a FailureModel::uniform(mu) executor's losses
+// land in failed_operations — and the filter absorbs those too, same flat
+// round count.  The rows quantify how much loss the fixed schedule shrugs
+// off.
 void oblivious_rounds_table(std::uint32_t n) {
   const auto values = generate_values(Distribution::kUniformReal, n, 227);
   AdversarialQuantileParams params;
@@ -174,13 +174,11 @@ void oblivious_rounds_table(std::uint32_t n) {
   bench::Table table(
       {"mu", "rounds", "served", "failed ops", "Mnode-rounds/s"});
   for (const double mu : {0.0, 0.2, 0.4}) {
-    ObliviousAdversary oblivious(mu > 0.0 ? FailureModel::uniform(mu)
-                                          : FailureModel{});
     const std::string pipeline =
         "adv_quantile_oblivious_mu" +
         std::to_string(static_cast<int>(mu * 100 + 0.5));
-    Network net(n, 1913);
-    net.set_adversary(&oblivious);
+    Network net(n, 1913,
+                mu > 0.0 ? FailureModel::uniform(mu) : FailureModel{});
     const auto t0 = std::chrono::steady_clock::now();
     const auto r = adversarial_quantile(net, values, params);
     const double secs = bench::seconds_since(t0);

@@ -1,14 +1,15 @@
 // Fault-injection demo: the same median query under the full adversary
-// catalog (sim/adversary.hpp).  Part one re-creates the classic oblivious
-// message-loss sweep through ObliviousAdversary — installing it on a
-// failure-free network is exactly the old FailureModel construction, fan-out
-// sizing included.  Part two turns the adaptive strategies of arXiv
+// catalog (sim/adversary.hpp).  Part one is the classic oblivious
+// message-loss sweep: each network is constructed with the FailureModel,
+// which sizes the robust pipeline's fan-out (at 0% loss the query takes the
+// failure-free path).  Part two turns the adaptive strategies of arXiv
 // 2502.15320 loose on the filtered pipeline: accuracy and served fraction
 // degrade gracefully with the budget, and the quality report says exactly
 // how much traffic the adversary touched.
 //
 //   build/examples/robustness_demo
 #include <cstdio>
+#include <string>
 
 #include "analysis/rank_stats.hpp"
 #include "analysis/theory_bounds.hpp"
@@ -50,7 +51,7 @@ int main() {
       gq::Distribution::kGaussian, kNodes, /*seed=*/3);
   const gq::RankScale scale(gq::make_keys(values));
 
-  // -- part one: oblivious loss through the adversary interface ------------
+  // -- part one: oblivious loss through the network's FailureModel ---------
   std::printf("median query under oblivious message loss (n = %u, "
               "eps = 0.1)\n\n",
               kNodes);
@@ -60,18 +61,20 @@ int main() {
               "---------------\n");
 
   for (const double mu : {0.0, 0.2, 0.4, 0.6, 0.8}) {
-    gq::ObliviousAdversary oblivious(mu > 0.0 ? gq::FailureModel::uniform(mu)
-                                              : gq::FailureModel{});
-    gq::Network net(kNodes, 77);  // failure-free; the model is absorbed
-    net.set_adversary(&oblivious);
+    gq::Network net(kNodes, 77,
+                    mu > 0.0 ? gq::FailureModel::uniform(mu)
+                             : gq::FailureModel{});
     gq::ApproxQuantileParams params;
     params.phi = 0.5;
     params.eps = 0.1;
     params.robust_coverage_rounds = 14;
     const auto r = gq::approx_quantile(net, values, params);
     const Scored s = score(scale, r.outputs, r.valid, 0.1);
-    std::printf("%4.0f%%  | %10u | %8llu | %8.2f%% | %8.2f%% | %.3f\n",
-                100 * mu, gq::robust_pull_count(mu, 6.0),
+    // The robust fan-out; the failure-free path (0% loss) has none.
+    const std::string pulls =
+        mu > 0.0 ? std::to_string(gq::robust_pull_count(mu, 6.0)) : "-";
+    std::printf("%4.0f%%  | %10s | %8llu | %8.2f%% | %8.2f%% | %.3f\n",
+                100 * mu, pulls.c_str(),
                 static_cast<unsigned long long>(r.rounds), s.served,
                 s.accurate, s.first_output);
   }

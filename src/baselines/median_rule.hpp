@@ -8,9 +8,21 @@
 //
 // Provided as a baseline so bench_dynamics can show what the paper's
 // 2-TOURNAMENT shift + scheduled 3-TOURNAMENT add on top of raw dynamics.
+// These Network overloads are the reference oracle of the Engine's batched
+// median_rule kernel (engine/kernels.hpp), which must match them bit for
+// bit in outputs, rounds and Metrics.
+//
+// Round rule, shared by both executors: each iteration is two pull rounds
+// reading the iteration-start snapshot.  A node whose first pull fails
+// sits the second round out (no failure coin, no message, no failed
+// operation) and keeps its value; a node whose second pull fails keeps its
+// value too.  Every message carries one key: key_bits(n) bits.
 #pragma once
 
+#include <bit>
+#include <cstdint>
 #include <span>
+#include <vector>
 
 #include "sim/key.hpp"
 #include "sim/network.hpp"
@@ -22,6 +34,16 @@ struct MedianRuleParams {
   // paper-suggested c*log2(n) with c = 4.
   std::uint64_t iterations = 0;
 };
+
+// The iteration count a run with `params` performs on n nodes: the
+// explicit count, or the c*log2(n) default.  One definition for both
+// executors.
+[[nodiscard]] inline std::uint64_t median_rule_iterations(
+    std::uint32_t n, const MedianRuleParams& params) {
+  if (params.iterations != 0) return params.iterations;
+  return 4 * static_cast<std::uint64_t>(
+                 std::bit_width(static_cast<std::uint64_t>(n) - 1));
+}
 
 struct MedianRuleResult {
   std::vector<Key> outputs;     // per-node final value

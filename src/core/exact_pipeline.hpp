@@ -5,17 +5,18 @@
 // bracketing bookkeeping whose every branch is observable in round counts
 // and Metrics — a bit-identity hazard.  Instead the pipeline is templated
 // over an `Ops` provider supplying the gossip substrates, and both
-// executors instantiate the SAME control flow:
+// executors instantiate the SAME control flow through the one provider
+// below, ExactOps<Executor>, whose members resolve by overload:
 //
-//   * core/exact_quantile.cpp  — Ops over the sequential Network
-//     (agg/spread, agg/rank_count, core/pivot, core/token_split);
-//   * engine/pipelines.cpp     — Ops over the parallel Engine's batched
-//     kernels (scatter-based push-sum, token split, spreads).
+//   * core/exact_quantile.cpp  — ExactOps<Network>: agg/spread,
+//     agg/rank_count, core/pivot, core/token_split;
+//   * engine/pipelines.cpp     — ExactOps<Engine>: the parallel Engine's
+//     batched kernels (scatter-based push-sum, token split, spreads).
 //
 // Bit-identity of the two paths then reduces to bit-identity of each
 // primitive, which tests/test_engine.cpp pins kernel by kernel.
 //
-// The Ops concept (duck-typed; see NetworkExactOps / EngineExactOps):
+// The Ops concept (duck-typed):
 //   uint32_t  size();
 //   uint64_t  seed();                // diagnostic context for typed aborts
 //   uint64_t  round();               //   "  (stream-relative round counter)
@@ -41,9 +42,11 @@
 #include <stdexcept>
 #include <vector>
 
+#include "agg/push_sum.hpp"
 #include "agg/rank_count.hpp"
 #include "agg/spread.hpp"
 #include "analysis/theory_bounds.hpp"
+#include "core/approx_quantile.hpp"
 #include "core/params.hpp"
 #include "core/pivot.hpp"
 #include "core/result.hpp"
@@ -54,6 +57,53 @@
 #include "util/require.hpp"
 
 namespace gq::exact_detail {
+
+// The one Ops provider: forwards each substrate to the executor's overload
+// of the primitive (the Engine's live in engine/pipelines.hpp, which the
+// instantiating translation unit includes).
+template <typename Executor>
+struct ExactOps {
+  Executor& ex;
+
+  [[nodiscard]] std::uint32_t size() const { return ex.size(); }
+  [[nodiscard]] std::uint64_t seed() const { return ex.seed(); }
+  [[nodiscard]] std::uint64_t round() const { return ex.round(); }
+  [[nodiscard]] const Metrics& metrics() const { return ex.metrics(); }
+
+  ApproxQuantileResult approx(std::span<const Key> keys,
+                              const ApproxQuantileParams& params) {
+    return approx_quantile_keys(ex, keys, params);
+  }
+  SpreadResult spread_min_keys(std::span<const Key> init) {
+    return spread_min(ex, init);
+  }
+  SpreadResult spread_max_keys(std::span<const Key> init) {
+    return spread_max(ex, init);
+  }
+  CountResult count(const std::vector<bool>& indicator) {
+    return gossip_count(ex, indicator);
+  }
+  CountResult rank(std::span<const Key> keys, const Key& threshold) {
+    return gossip_rank(ex, keys, threshold);
+  }
+  TripleCountResult count3(const std::vector<bool>& a,
+                           const std::vector<bool>& b,
+                           const std::vector<bool>& c) {
+    return gossip_count3(ex, a, b, c);
+  }
+  PivotSample pivot(std::span<const Key> inst,
+                    const std::vector<bool>& candidate) {
+    return sample_uniform_candidate(ex, inst, candidate);
+  }
+  TokenSplitResult token_split(std::span<const Key> inst,
+                               std::uint64_t multiplier,
+                               std::uint64_t tag_base) {
+    return token_split_distribute(ex, inst, multiplier, tag_base);
+  }
+  [[nodiscard]] std::uint64_t exact_count_rounds() const {
+    return push_sum_rounds_for_exact(ex.size(), ex.failures());
+  }
+};
 
 // Structured throw-site context for ExactPipelineError: which run (seed, n)
 // aborted, where (phase label), and when.  The round is the executor's

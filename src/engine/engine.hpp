@@ -26,9 +26,9 @@
 //      never on the thread count — and every Metrics field is a sum or max,
 //      so the merged totals are exactly the sequential totals.
 //
-// Anything built on top (the NodeProtocol adapter in runtime_adapter.hpp,
-// the batched kernels in kernels.hpp) inherits the contract by only using
-// parallel_shards() with per-node slots and per-shard Metrics.
+// Anything built on top (the batched kernels in kernels.hpp, the pipelines
+// in pipelines.hpp) inherits the contract by only using parallel_shards()
+// with per-node slots and per-shard Metrics.
 //
 // ## API shape
 //
@@ -77,18 +77,11 @@ class Engine {
 
   // ---- adversarial fault injection -------------------------------------
   // Mirrors Network::set_adversary exactly (see sim/network.hpp for the
-  // contract): the strategy is borrowed, bound to (seed, n), and an
-  // oblivious strategy's drop model is absorbed into the failure model so
-  // FailureModel stays the exact special case on this executor too.
+  // contract): the strategy is borrowed and bound to (seed, n); the failure
+  // model is the constructor's and is never touched here.
   void set_adversary(AdversaryStrategy* adversary) {
     adversary_ = adversary;
-    if (adversary_ != nullptr) {
-      adversary_->bind(seed_, n_);
-      if (const FailureModel* fm = adversary_->oblivious_model();
-          fm != nullptr && failures_.never_fails()) {
-        failures_ = *fm;
-      }
-    }
+    if (adversary_ != nullptr) adversary_->bind(seed_, n_);
   }
   [[nodiscard]] AdversaryStrategy* adversary() const noexcept {
     return adversary_;

@@ -11,6 +11,7 @@
 #include "sim/streams.hpp"
 #include "util/prefetch.hpp"
 #include "util/require.hpp"
+#include "workload/tiebreak.hpp"
 
 namespace gq {
 namespace {
@@ -137,45 +138,28 @@ struct PickScratch {
 // cannot diverge the bit-identity twins.
 using robust_detail::median3;
 
-// Pooled Key-typed ping-pong buffers of median dynamics (see there for why
-// it does not intern).
-struct KeyPairScratch {
-  std::vector<Key> a, b;
-
-  void ensure(std::uint32_t n) {
-    if (a.size() < n) {
-      a.resize(n);
-      b.resize(n);
-    }
-  }
+// The median rule's pooled second ping-pong buffer (the first is the
+// result vector itself; see median_rule_keys for why it does not intern).
+struct KeyBufferScratch {
+  std::vector<Key> keys;
 };
 
-// Sharded copy between the caller's key vector and the pooled Key buffers.
-void copy_keys(Engine& engine, std::span<const Key> from, std::span<Key> to) {
-  engine.parallel_shards(
-      [&](std::uint32_t begin, std::uint32_t end, Metrics&) {
-        for (std::uint32_t v = begin; v < end; ++v) to[v] = from[v];
-      });
-}
-
-// The round mechanics of median dynamics on pooled Key buffers: blocked
-// draw/prefetch/commit with the protocol's per-node draw order and
-// Metrics.  Returns with *live pointing at the buffer holding the final
-// state (the ping-pong may end on either).
-RuntimeResult median_dynamics_rounds(
-    Engine& engine, std::span<Key> cur, std::span<Key> next,
-    std::span<std::uint32_t> first, std::span<std::uint32_t> second,
-    std::uint64_t iterations, std::uint64_t max_rounds,
-    std::uint64_t bits_per_message, const Key** live) {
+// The round mechanics of the median rule on two Key buffers: blocked
+// draw/prefetch/commit with baselines/median_rule's per-node draw order and
+// Metrics.  Returns the buffer holding the final state (the ping-pong may
+// end on either).
+const Key* median_rule_rounds(Engine& engine, std::span<Key> cur,
+                              std::span<Key> next,
+                              std::span<std::uint32_t> first,
+                              std::span<std::uint32_t> second,
+                              std::uint64_t iterations,
+                              std::uint64_t bits_per_message) {
   const std::uint32_t block = engine.gather_block();
-  RuntimeResult out;
-  std::uint64_t completed = 0;
-  while (completed < iterations && out.rounds < max_rounds) {
+  for (std::uint64_t it = 0; it < iterations; ++it) {
     // First round of the iteration: the first sample.  Pure pick pass — no
     // gathers — so no blocking is needed; `cur` stays immutable until the
     // commit and doubles as the iteration-start snapshot.
     engine.begin_round();
-    ++out.rounds;
     engine.parallel_shards(
         [&](std::uint32_t begin, std::uint32_t end, Metrics& local) {
           std::uint64_t sent = 0;
@@ -191,20 +175,23 @@ RuntimeResult median_dynamics_rounds(
           }
           local.record_messages(sent, bits_per_message);
         });
-    if (out.rounds >= max_rounds) break;  // half iteration: never committed
 
     // Second round: the second sample with the commit fused in, blocked —
     // per block the draws land first, then prefetches over both gather
-    // targets, then the median commit against warm lines.  A failed pull
-    // on either round forfeits the iteration's update, as in the protocol.
+    // targets, then the median commit against warm lines.  A node whose
+    // first pull failed sits this round out, and a failed pull on either
+    // round forfeits the iteration's update, as in the reference.
     engine.begin_round();
-    ++out.rounds;
     engine.parallel_shards(
         [&](std::uint32_t begin, std::uint32_t end, Metrics& local) {
           std::uint64_t sent = 0;
           for (std::uint32_t b0 = begin; b0 < end; b0 += block) {
             const std::uint32_t b1 = std::min(b0 + block, end);
             for (std::uint32_t v = b0; v < b1; ++v) {
+              if (first[v] == Engine::kNoPeer) {
+                second[v] = Engine::kNoPeer;
+                continue;
+              }
               if (engine.node_fails(v)) {
                 ++local.failed_operations;
                 second[v] = Engine::kNoPeer;
@@ -232,45 +219,44 @@ RuntimeResult median_dynamics_rounds(
           local.record_messages(sent, bits_per_message);
         });
     std::swap(cur, next);
-    ++completed;
   }
-  out.all_finished = completed >= iterations;
-  *live = cur.data();
-  return out;
+  return cur.data();
 }
 
 }  // namespace
 
-RuntimeResult median_dynamics(Engine& engine, std::vector<Key>& state,
-                              std::uint64_t iterations,
-                              std::uint64_t max_rounds,
-                              std::uint64_t bits_per_message) {
+MedianRuleResult median_rule_keys(Engine& engine, std::span<const Key> keys,
+                                  const MedianRuleParams& params) {
   const std::uint32_t n = engine.size();
-  GQ_REQUIRE(state.size() == n, "one key per node required");
+  GQ_REQUIRE(keys.size() == n, "one key per node required");
 
-  RuntimeResult out;
-  if (iterations == 0) {
-    out.all_finished = true;
-    return out;
-  }
+  MedianRuleResult out;
+  out.iterations = median_rule_iterations(n, params);
+  out.rounds = 2 * out.iterations;
   auto& picks = engine.scratch<PickScratch>();
   picks.ensure(n);
-  const std::span<std::uint32_t> first = picks.p0.span(n);
-  const std::span<std::uint32_t> second = picks.p1.span(n);
 
-  // Median dynamics stays on pooled Key buffers: interning costs an
-  // O(n log n) sort amortised over the gather rounds it shrinks, and the
+  // The median rule stays on Key buffers: interning costs an O(n log n)
+  // sort amortised over the gather rounds it shrinks, and the
   // caller-chosen iteration count is often tiny (the scale benches run
-  // 2-3; at n = 10^6 the sort alone outlasts a 3-iteration Key run).
-  auto& keys = engine.scratch<KeyPairScratch>();
-  keys.ensure(n);
-  copy_keys(engine, state, {keys.a.data(), n});
-  const Key* live = nullptr;
-  out = median_dynamics_rounds(engine, {keys.a.data(), n},
-                               {keys.b.data(), n}, first, second, iterations,
-                               max_rounds, bits_per_message, &live);
-  copy_keys(engine, {live, n}, state);
+  // 2-3; at n = 10^6 the sort alone outlasts a 3-iteration Key run).  The
+  // result vector is the first ping-pong buffer and a pooled one the
+  // second; whichever ends live is handed to the caller, the other stays
+  // pooled, so a run copies the keys once.
+  out.outputs.assign(keys.begin(), keys.end());
+  std::vector<Key>& spare = engine.scratch<KeyBufferScratch>().keys;
+  spare.resize(n);
+  const Key* live = median_rule_rounds(
+      engine, out.outputs, spare, picks.p0.span(n), picks.p1.span(n),
+      out.iterations, key_bits(n));
+  if (live != out.outputs.data()) out.outputs.swap(spare);
   return out;
+}
+
+MedianRuleResult median_rule(Engine& engine, std::span<const double> values,
+                             const MedianRuleParams& params) {
+  const std::vector<Key> keys = make_keys(values);
+  return median_rule_keys(engine, keys, params);
 }
 
 // ---- shared-schedule multi-quantile kernels --------------------------------

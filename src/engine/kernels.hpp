@@ -15,9 +15,9 @@
 // There is one failure-free tournament implementation: the q-lane
 // kernels below.  The single-target two_tournament / three_tournament are
 // thin q = 1 drivers over them, and the Engine's approx pipeline runs its
-// Phase 1, Phase 2 and final sample on them with one lane.  Only median
-// dynamics (the [DGM+11] baseline) keeps pooled Key buffers: its runs are
-// a few iterations, too short to amortise the intern sort.
+// Phase 1, Phase 2 and final sample on them with one lane.  Only the
+// median rule (the [DGM+11] baseline) keeps pooled Key buffers: its runs
+// are a few iterations, too short to amortise the intern sort.
 //
 // Hot loops are *blocked*: for each block of EngineConfig::gather_block
 // nodes a round first materialises the block's peer picks into pooled
@@ -33,7 +33,7 @@
 // same Metrics, at every gather_block value — which the engine test suite
 // pins at 1, 2, and 8 threads:
 //
-//   * median_dynamics         == MedianDynamicsProtocol via run_protocols
+//   * median_rule             == baselines/median_rule
 //   * two_tournament          == core/two_tournament (Algorithm 1)
 //   * three_tournament        == core/three_tournament (Algorithm 2)
 //   * robust_two_tournament   == core/robust.cpp (Section 5.1)
@@ -66,25 +66,26 @@
 #include <span>
 #include <vector>
 
+#include "baselines/median_rule.hpp"
 #include "core/multi_pipeline.hpp"
 #include "core/robust_pipeline.hpp"
 #include "core/three_tournament.hpp"
 #include "core/two_tournament.hpp"
 #include "engine/engine.hpp"
-#include "runtime/protocol.hpp"
 #include "sim/key.hpp"
 
 namespace gq {
 
-// The [DGM+11] median dynamics as a batched kernel: `iterations` iterations
-// of two pull rounds each, committing median(own, a, b) when both samples
-// arrived (a failed pull forfeits the iteration's update).  Bit-identical
-// to driving MedianDynamicsProtocol instances through run_protocols with
-// the same (seed, failure model, max_rounds, bits_per_message).
-RuntimeResult median_dynamics(Engine& engine, std::vector<Key>& state,
-                              std::uint64_t iterations,
-                              std::uint64_t max_rounds,
-                              std::uint64_t bits_per_message);
+// The [DGM+11] median rule as a batched kernel; see baselines/median_rule.hpp
+// for the round rule.  Same iteration default, same key_bits(n) messages,
+// and bit-identical outputs, rounds and Metrics to the Network overloads
+// for the same (seed, failure model).
+[[nodiscard]] MedianRuleResult median_rule_keys(Engine& engine,
+                                                std::span<const Key> keys,
+                                                const MedianRuleParams& params);
+[[nodiscard]] MedianRuleResult median_rule(Engine& engine,
+                                           std::span<const double> values,
+                                           const MedianRuleParams& params);
 
 // Algorithm 1 (2-TOURNAMENT) on the engine; see core/two_tournament.hpp.
 // A q = 1 driver over the multi-lane kernels; writes the final
@@ -151,7 +152,7 @@ void multi_final_sample(Engine& engine, std::uint32_t k_samples,
 // (state[v] == table[lanes[v]]) then hits and the O(n log n) intern sort is
 // skipped; a caller handing over a stale or wrong encoding just fails the
 // verify and pays a fresh intern, never a wrong answer.  Every tournament
-// kernel consults the session at every n (median dynamics, which never
+// kernel consults the session at every n (the median rule, which never
 // interns, ignores it), and a kernel that mutates the key multiset
 // mid-pipeline (the exact pipeline's duplication step) re-interns exactly
 // as it would cold.

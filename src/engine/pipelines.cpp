@@ -600,52 +600,6 @@ TokenSplitResult token_split_distribute(Engine& engine,
 
 namespace {
 
-// The engine instantiation of the shared Algorithm-3 control flow in
-// core/exact_pipeline.hpp; the sequential twin lives in
-// core/exact_quantile.cpp.
-struct EngineExactOps {
-  Engine& engine;
-
-  [[nodiscard]] std::uint32_t size() const { return engine.size(); }
-  [[nodiscard]] std::uint64_t seed() const { return engine.seed(); }
-  [[nodiscard]] std::uint64_t round() const { return engine.round(); }
-  [[nodiscard]] const Metrics& metrics() const { return engine.metrics(); }
-
-  ApproxQuantileResult approx(std::span<const Key> keys,
-                              const ApproxQuantileParams& params) {
-    return approx_quantile_keys(engine, keys, params);
-  }
-  SpreadResult spread_min_keys(std::span<const Key> init) {
-    return spread_min(engine, init);
-  }
-  SpreadResult spread_max_keys(std::span<const Key> init) {
-    return spread_max(engine, init);
-  }
-  CountResult count(const std::vector<bool>& indicator) {
-    return gossip_count(engine, indicator);
-  }
-  CountResult rank(std::span<const Key> keys, const Key& threshold) {
-    return gossip_rank(engine, keys, threshold);
-  }
-  TripleCountResult count3(const std::vector<bool>& a,
-                           const std::vector<bool>& b,
-                           const std::vector<bool>& c) {
-    return gossip_count3(engine, a, b, c);
-  }
-  PivotSample pivot(std::span<const Key> inst,
-                    const std::vector<bool>& candidate) {
-    return sample_uniform_candidate(engine, inst, candidate);
-  }
-  TokenSplitResult token_split(std::span<const Key> inst,
-                               std::uint64_t multiplier,
-                               std::uint64_t tag_base) {
-    return token_split_distribute(engine, inst, multiplier, tag_base);
-  }
-  [[nodiscard]] std::uint64_t exact_count_rounds() const {
-    return push_sum_rounds_for_exact(engine.size(), engine.failures());
-  }
-};
-
 // The engine instantiation of the shared multi-quantile control flow in
 // core/multi_pipeline.hpp; the sequential twin lives in
 // core/multi_quantile.cpp.  Thin forwarders to the multi-lane kernels in
@@ -754,7 +708,7 @@ ApproxQuantileResult approx_quantile(Engine& engine,
 ExactQuantileResult exact_quantile_keys(Engine& engine,
                                         std::span<const Key> keys,
                                         const ExactQuantileParams& params) {
-  EngineExactOps ops{engine};
+  exact_detail::ExactOps<Engine> ops{engine};
   return exact_detail::exact_quantile_keys_impl(ops, keys, params);
 }
 

@@ -4,34 +4,10 @@
 #include <cstdint>
 #include <utility>
 
-#include "sim/streams.hpp"
 #include "util/require.hpp"
 #include "util/rng.hpp"
 
 namespace gq {
-
-// ---- ObliviousAdversary ---------------------------------------------------
-
-ObliviousAdversary::ObliviousAdversary(FailureModel model)
-    : model_(std::move(model)) {}
-
-std::uint64_t ObliviousAdversary::budget_per_round() const noexcept {
-  // An oblivious model is not budget-bounded: in the worst round every node's
-  // coin can come up "fail".
-  return n_;
-}
-
-Fault ObliviousAdversary::fault(std::uint32_t node, std::uint64_t round) const {
-  // The same coin the executors flip for their own failure model.  When the
-  // executor has absorbed model_ (the usual case), this is redundant with the
-  // executor's own draw — ORing identical coins is idempotent, so the
-  // transcript is unchanged; when it has not (a failure model was already
-  // installed), it composes as an independent drop source.
-  if (streams::node_fails(seed_, round, node, model_)) {
-    return Fault{.kind = FaultKind::kDrop};
-  }
-  return Fault{};
-}
 
 // ---- GreedyTargetedAdversary ----------------------------------------------
 

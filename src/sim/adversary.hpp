@@ -25,11 +25,10 @@
 // so transcripts stay bit-identical between Network and Engine at any
 // thread count — the same discipline every kernel in this repo obeys.
 //
-// The oblivious special case: ObliviousAdversary wraps a FailureModel and
-// reports it through oblivious_model().  Executors absorb that model into
-// their own failure model at set_adversary() time, so an executor with an
-// oblivious adversary is *exactly* an executor constructed with the
-// FailureModel — same fan-out sizing, same failure coins, same transcript.
+// The oblivious special case is the executor's own FailureModel: oblivious
+// loss is installed through the Network/Engine constructor, never through
+// set_adversary(), and an installed strategy composes with it as a second,
+// independent fault source.
 //
 // Fault semantics by execution layer:
 //   * kDrop     — the message is destroyed in transit.  Legacy pipelines see
@@ -59,7 +58,6 @@
 #include <span>
 #include <vector>
 
-#include "sim/failure_model.hpp"
 #include "sim/key.hpp"
 
 namespace gq {
@@ -102,15 +100,6 @@ class AdversaryStrategy {
   // structurally.
   [[nodiscard]] virtual std::uint64_t budget_per_round() const noexcept = 0;
 
-  // Non-null iff this strategy is equivalent to an oblivious FailureModel.
-  // Executors absorb the returned model into their own failure model when
-  // the adversary is installed (see Network::set_adversary), which is what
-  // makes FailureModel the exact special case: fan-out sizing and failure
-  // coins become indistinguishable from constructing with the model.
-  [[nodiscard]] virtual const FailureModel* oblivious_model() const noexcept {
-    return nullptr;
-  }
-
   // Called by the executor when the adversary is installed (and again on
   // Engine::reset_stream).  Strategies derive all their randomness from this
   // seed so transcripts are reproducible.
@@ -133,28 +122,6 @@ class AdversaryStrategy {
  protected:
   std::uint64_t seed_ = 0;
   std::uint32_t n_ = 0;
-};
-
-// The Section-5 model as an adversary: drops node v's round-r message with
-// the wrapped FailureModel's coin — the *same* coin the executors flip
-// (streams::node_fails), so installing it on a failure-free executor is
-// transcript-identical to constructing the executor with the model.
-class ObliviousAdversary final : public AdversaryStrategy {
- public:
-  explicit ObliviousAdversary(FailureModel model);
-
-  [[nodiscard]] const char* name() const noexcept override {
-    return "oblivious";
-  }
-  [[nodiscard]] std::uint64_t budget_per_round() const noexcept override;
-  [[nodiscard]] const FailureModel* oblivious_model() const noexcept override {
-    return &model_;
-  }
-  [[nodiscard]] Fault fault(std::uint32_t node,
-                            std::uint64_t round) const override;
-
- private:
-  FailureModel model_;
 };
 
 // Adaptive corruption: each observed window, targets the `budget` nodes

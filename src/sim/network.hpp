@@ -55,20 +55,12 @@ class Network {
 
   // Installs a message-level adversary (sim/adversary.hpp).  The strategy is
   // borrowed, not owned — it must outlive the executor — and is bound to
-  // (seed, n) here.  An oblivious strategy's drop model is absorbed into
-  // this executor's failure model (when none is installed yet), which is
-  // what makes FailureModel the exact special case: fan-out sizing, failure
-  // coins, and transcripts match a model-constructed executor bit for bit.
-  // Pass nullptr to uninstall.
+  // (seed, n) here.  It composes with the constructor's failure model, which
+  // it never changes: oblivious loss is installed only through the
+  // constructor.  Pass nullptr to uninstall.
   void set_adversary(AdversaryStrategy* adversary) {
     adversary_ = adversary;
-    if (adversary_ != nullptr) {
-      adversary_->bind(seed_, n_);
-      if (const FailureModel* fm = adversary_->oblivious_model();
-          fm != nullptr && failures_.never_fails()) {
-        failures_ = *fm;
-      }
-    }
+    if (adversary_ != nullptr) adversary_->bind(seed_, n_);
   }
   [[nodiscard]] AdversaryStrategy* adversary() const noexcept {
     return adversary_;

@@ -6,12 +6,14 @@
 // sequential Network and the parallel Engine at 1/2/8 threads, across
 // adversary strategies (greedy-targeted, eclipse, budget-burst) and budget
 // levels, including the QualityReport and the adversary tallies in Metrics.
-// It also pins the two boundary identities of the layer itself:
+// It also pins the boundary identities of the layer itself:
 //   * budget = 0 strategies are transcript-identical to running with no
 //     adversary installed at all;
-//   * ObliviousAdversary(fm) is transcript-identical to constructing the
-//     executor with fm — the FailureModel-as-special-case requirement —
-//     on the legacy robust pipelines AND the new adversarial ones.
+//   * uninstalling a strategy (set_adversary(nullptr)) leaves the executor
+//     exactly as constructed;
+//   * oblivious loss — the constructor's FailureModel — reaches the
+//     adversarial pipelines as failed operations, never as adversary drops,
+//     identically on both executors.
 //
 // The property half pins graceful degradation (accuracy and served fraction
 // under bounded budgets, exposure accounting) and the FailureModel::custom
@@ -266,58 +268,59 @@ TEST(AdversaryBoundary, BudgetZeroIsTranscriptIdenticalToNoAdversary) {
   }
 }
 
-// ---- boundary: FailureModel is the oblivious special case -----------------
+// ---- boundary: uninstalling restores the constructed executor -------------
 
-TEST(AdversaryBoundary, ObliviousAdversaryReproducesFailureModelExactly) {
+TEST(AdversaryBoundary, UninstallRestoresTheConstructedExecutor) {
+  constexpr std::uint32_t kN = 1021;
+  constexpr std::uint64_t kSeed = 931;
+  const auto values = generate_values(Distribution::kUniformReal, kN, 107);
+  AdversarialQuantileParams params;
+
+  Network clean(kN, kSeed);
+  const auto base = adversarial_quantile(clean, values, params);
+
+  EclipseAdversary eclipse(0, kN / 16);
+  Network net(kN, kSeed);
+  net.set_adversary(&eclipse);
+  EXPECT_FALSE(net.faultless());
+  net.set_adversary(nullptr);
+  EXPECT_TRUE(net.faultless());
+  expect_same_quantile(adversarial_quantile(net, values, params), base,
+                       "network after uninstall");
+  EXPECT_EQ(net.metrics(), clean.metrics());
+
+  Engine engine(kN, kSeed, FailureModel{}, config_for(2));
+  engine.set_adversary(&eclipse);
+  EXPECT_FALSE(engine.faultless());
+  engine.set_adversary(nullptr);
+  EXPECT_TRUE(engine.faultless());
+  expect_same_quantile(adversarial_quantile(engine, values, params), base,
+                       "engine after uninstall");
+  EXPECT_EQ(engine.metrics(), clean.metrics());
+}
+
+// ---- boundary: oblivious loss is the constructor's FailureModel -----------
+
+// The adversarial pipeline sees the model's losses as failed operations,
+// never as adversary faults, and both executors agree on every count.
+TEST(AdversaryBoundary, FailureModelLossesAreFailedOperations) {
   constexpr std::uint32_t kN = 1535;
   constexpr std::uint64_t kSeed = 937;
   const auto values = generate_values(Distribution::kUniformReal, kN, 103);
   const FailureModel fm = FailureModel::uniform(0.3);
+  AdversarialQuantileParams params;
 
-  // Legacy robust pipeline: model-constructed reference.
-  ApproxQuantileParams aparams;
-  aparams.phi = 0.3;
-  aparams.eps = 0.15;
-  Network model_net(kN, kSeed, fm);
-  const auto model_run = approx_quantile(model_net, values, aparams);
-
-  // Same pipeline on a failure-free executor with the oblivious adversary:
-  // the model is absorbed at install time, so sizing, coins, transcript and
-  // Metrics must match bit for bit.
-  ObliviousAdversary oblivious(fm);
-  EXPECT_EQ(oblivious.oblivious_model()->max_probability(),
-            fm.max_probability());
-  Network adv_net(kN, kSeed);
-  adv_net.set_adversary(&oblivious);
-  EXPECT_EQ(adv_net.failures().max_probability(), fm.max_probability());
-  const auto adv_run = approx_quantile(adv_net, values, aparams);
-  EXPECT_EQ(adv_run.outputs, model_run.outputs);
-  EXPECT_EQ(adv_run.valid, model_run.valid);
-  EXPECT_EQ(adv_run.rounds, model_run.rounds);
-  EXPECT_EQ(adv_net.metrics(), model_net.metrics());
+  Network net(kN, kSeed, fm);
+  const auto seq = adversarial_quantile(net, values, params);
+  EXPECT_EQ(seq.quality.messages_dropped, 0u);
+  EXPECT_GT(seq.quality.failed_operations, 0u);
 
   for (unsigned threads : kThreadCounts) {
-    Engine engine(kN, kSeed, FailureModel{}, config_for(threads));
-    engine.set_adversary(&oblivious);
-    const auto par = approx_quantile(engine, values, aparams);
-    EXPECT_EQ(par.outputs, model_run.outputs) << "threads=" << threads;
-    EXPECT_EQ(par.valid, model_run.valid) << "threads=" << threads;
-    EXPECT_EQ(par.rounds, model_run.rounds) << "threads=" << threads;
-    EXPECT_EQ(engine.metrics(), model_net.metrics()) << "threads=" << threads;
+    Engine engine(kN, kSeed, fm, config_for(threads));
+    const auto par = adversarial_quantile(engine, values, params);
+    expect_same_quantile(par, seq, "failure model");
+    EXPECT_EQ(engine.metrics(), net.metrics()) << "threads=" << threads;
   }
-
-  // The adversarial pipeline sees the absorbed model as failed operations,
-  // never as adversary faults — same identity there.
-  AdversarialQuantileParams qparams;
-  Network model_net2(kN, kSeed, fm);
-  const auto model_q = adversarial_quantile(model_net2, values, qparams);
-  Network adv_net2(kN, kSeed);
-  adv_net2.set_adversary(&oblivious);
-  const auto adv_q = adversarial_quantile(adv_net2, values, qparams);
-  expect_same_quantile(adv_q, model_q, "adversarial pipeline oblivious");
-  EXPECT_EQ(adv_q.quality.messages_dropped, 0u);
-  EXPECT_GT(adv_q.quality.failed_operations, 0u);
-  EXPECT_EQ(adv_net2.metrics(), model_net2.metrics());
 }
 
 // ---- ExactPipelineError parity under adversarial pressure -----------------

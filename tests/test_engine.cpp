@@ -1,18 +1,19 @@
 // Determinism tests for the sharded parallel engine: the engine must
 // produce bit-identical transcripts, states, and Metrics to the sequential
-// Network/runtime path for the same seed, at every thread count, with and
+// Network path for the same seed, at every thread count, with and
 // without a failure model.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <limits>
-#include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "agg/rank_count.hpp"
 #include "agg/spread.hpp"
+#include "baselines/median_rule.hpp"
 #include "core/approx_quantile.hpp"
 #include "core/exact_quantile.hpp"
 #include "core/multi_quantile.hpp"
@@ -22,13 +23,10 @@
 #include "engine/engine.hpp"
 #include "engine/kernels.hpp"
 #include "engine/pipelines.hpp"
-#include "engine/runtime_adapter.hpp"
 #include "engine/scatter.hpp"
 #include "engine/thread_pool.hpp"
-#include "runtime/protocol.hpp"
 #include "sim/key_intern.hpp"
 #include "sim/network.hpp"
-#include "wire/codec.hpp"
 #include "workload/distributions.hpp"
 #include "workload/tiebreak.hpp"
 
@@ -165,97 +163,6 @@ TEST(Engine, DefaultMessageBitsMatchesNetwork) {
   Network net(1 << 20, 1);
   Engine engine(1 << 20, 1, FailureModel{}, EngineConfig{.threads = 1});
   EXPECT_EQ(engine.default_message_bits(), net.default_message_bits());
-}
-
-std::vector<std::unique_ptr<NodeProtocol>> make_median_protocols(
-    std::span<const Key> keys, std::uint64_t iterations) {
-  std::vector<std::unique_ptr<NodeProtocol>> out;
-  out.reserve(keys.size());
-  for (const Key& k : keys) {
-    out.push_back(std::make_unique<MedianDynamicsProtocol>(k, iterations));
-  }
-  return out;
-}
-
-std::vector<Key> protocol_states(
-    std::span<const std::unique_ptr<NodeProtocol>> protos) {
-  std::vector<Key> out;
-  out.reserve(protos.size());
-  for (const auto& p : protos) {
-    out.push_back(static_cast<MedianDynamicsProtocol*>(p.get())->state());
-  }
-  return out;
-}
-
-TEST(EngineAdapter, BitIdenticalToSequentialRuntime) {
-  constexpr std::uint32_t kN = 2048;
-  constexpr std::uint64_t kSeed = 23;
-  constexpr std::uint64_t kIterations = 20;
-  const auto keys =
-      make_keys(generate_values(Distribution::kUniformReal, kN, 3));
-  const std::uint64_t bits = KeyCodec(kN).encoded_bits();
-
-  for (const bool with_failures : {false, true}) {
-    const FailureModel fm =
-        with_failures ? FailureModel::uniform(0.3) : FailureModel{};
-
-    Network net(kN, kSeed, fm);
-    auto seq_protos = make_median_protocols(keys, kIterations);
-    const RuntimeResult seq = run_protocols(net, seq_protos, 1000, bits);
-    const std::vector<Key> seq_states = protocol_states(seq_protos);
-
-    for (unsigned threads : kThreadCounts) {
-      Engine engine(kN, kSeed, fm, config_for(threads));
-      auto protos = make_median_protocols(keys, kIterations);
-      const RuntimeResult par = run_protocols(engine, protos, 1000, bits);
-      EXPECT_EQ(par.rounds, seq.rounds);
-      EXPECT_EQ(par.all_finished, seq.all_finished);
-      EXPECT_EQ(protocol_states(protos), seq_states)
-          << "threads=" << threads << " failures=" << with_failures;
-      EXPECT_EQ(engine.metrics(), net.metrics())
-          << "threads=" << threads << " failures=" << with_failures;
-    }
-  }
-}
-
-TEST(EngineKernels, MedianDynamicsMatchesProtocolPath) {
-  constexpr std::uint32_t kN = 2048;
-  constexpr std::uint64_t kSeed = 57;
-  constexpr std::uint64_t kIterations = 16;
-  const auto keys =
-      make_keys(generate_values(Distribution::kGaussian, kN, 5));
-  const std::uint64_t bits = KeyCodec(kN).encoded_bits();
-
-  // max_rounds both above and below 2*iterations (the odd cap ends on a
-  // half iteration whose messages must still be accounted).
-  for (const std::uint64_t max_rounds : {std::uint64_t{1000},
-                                         std::uint64_t{2 * kIterations},
-                                         std::uint64_t{21}}) {
-    for (const bool with_failures : {false, true}) {
-      const FailureModel fm =
-          with_failures ? FailureModel::uniform(0.2) : FailureModel{};
-
-      Network net(kN, kSeed, fm);
-      auto protos = make_median_protocols(keys, kIterations);
-      const RuntimeResult seq = run_protocols(net, protos, max_rounds, bits);
-      const std::vector<Key> seq_states = protocol_states(protos);
-
-      for (unsigned threads : kThreadCounts) {
-        Engine engine(kN, kSeed, fm, config_for(threads));
-        std::vector<Key> state(keys.begin(), keys.end());
-        const RuntimeResult ker =
-            median_dynamics(engine, state, kIterations, max_rounds, bits);
-        EXPECT_EQ(ker.rounds, seq.rounds) << "max_rounds=" << max_rounds;
-        EXPECT_EQ(ker.all_finished, seq.all_finished);
-        EXPECT_EQ(state, seq_states)
-            << "threads=" << threads << " failures=" << with_failures
-            << " max_rounds=" << max_rounds;
-        EXPECT_EQ(engine.metrics(), net.metrics())
-            << "threads=" << threads << " failures=" << with_failures
-            << " max_rounds=" << max_rounds;
-      }
-    }
-  }
 }
 
 TEST(EngineKernels, TwoTournamentMatchesCore) {
@@ -897,40 +804,47 @@ TEST(EngineKernels, GatherBlockSweepMatchesCoreForEveryKernel) {
   }
 }
 
-// Same sweep for median dynamics under a failure model, where the blocked
-// commit must handle kNoPeer picks (failed pulls) in both gather slots, at
-// a short and a longer iteration count.
-TEST(EngineKernels, MedianDynamicsBlockSweepUnderFailures) {
+// The median rule kernel against its Network reference across thread
+// counts, failure models, gather blocks and iteration counts (including the
+// c*log2(n) default).  Under failures the blocked commit must handle
+// kNoPeer picks in both gather slots, and a node whose first pull failed
+// must sit the second round out exactly as the reference does.
+TEST(EngineKernels, MedianRuleMatchesNetwork) {
   constexpr std::uint32_t kN = 2048;
   constexpr std::uint64_t kSeed = 137;
   const auto keys =
       make_keys(generate_values(Distribution::kGaussian, kN, 51));
-  const std::uint64_t bits = KeyCodec(kN).encoded_bits();
-  const FailureModel fm = FailureModel::uniform(0.25);
 
-  for (const std::uint64_t iterations : {std::uint64_t{3},
-                                         std::uint64_t{8}}) {
-    Network net(kN, kSeed, fm);
-    auto protos = make_median_protocols(keys, iterations);
-    const RuntimeResult seq = run_protocols(net, protos, 1000, bits);
-    const std::vector<Key> seq_states = protocol_states(protos);
+  for (const bool with_failures : {false, true}) {
+    const FailureModel fm =
+        with_failures ? FailureModel::uniform(0.25) : FailureModel{};
+    for (const std::uint64_t iterations : {std::uint64_t{3},
+                                           std::uint64_t{8},
+                                           std::uint64_t{0}}) {
+      const MedianRuleParams params{.iterations = iterations};
+      Network net(kN, kSeed, fm);
+      const MedianRuleResult seq = median_rule_keys(net, keys, params);
+      if (with_failures) {
+        EXPECT_GT(net.metrics().failed_operations, 0u);
+      }
 
-    for (unsigned threads : kThreadCounts) {
-      for (const std::uint32_t block : {3u, 256u}) {
-        Engine engine(kN, kSeed, fm,
-                      EngineConfig{.threads = threads,
-                                   .shard_size = 192,
-                                   .gather_block = block});
-        std::vector<Key> state(keys.begin(), keys.end());
-        const RuntimeResult ker =
-            median_dynamics(engine, state, iterations, 1000, bits);
-        EXPECT_EQ(ker.rounds, seq.rounds);
-        EXPECT_EQ(state, seq_states) << "threads=" << threads
-                                     << " block=" << block
-                                     << " iterations=" << iterations;
-        EXPECT_EQ(engine.metrics(), net.metrics())
-            << "threads=" << threads << " block=" << block
-            << " iterations=" << iterations;
+      for (unsigned threads : kThreadCounts) {
+        for (const std::uint32_t block : {3u, 256u}) {
+          Engine engine(kN, kSeed, fm,
+                        EngineConfig{.threads = threads,
+                                     .shard_size = 192,
+                                     .gather_block = block});
+          const MedianRuleResult par = median_rule_keys(engine, keys, params);
+          const std::string what =
+              "threads=" + std::to_string(threads) +
+              " block=" + std::to_string(block) +
+              " iterations=" + std::to_string(iterations) +
+              " failures=" + std::to_string(with_failures);
+          EXPECT_EQ(par.outputs, seq.outputs) << what;
+          EXPECT_EQ(par.rounds, seq.rounds) << what;
+          EXPECT_EQ(par.iterations, seq.iterations) << what;
+          EXPECT_EQ(engine.metrics(), net.metrics()) << what;
+        }
       }
     }
   }
