@@ -24,34 +24,25 @@
 // how much adversarial pressure the run absorbed.
 //
 // Shared-control-flow pattern (core/exact_pipeline.hpp precedent): ONE
-// template drives both executors through a duck-typed Ops provider —
-// core/adversarial.cpp instantiates it over the sequential Network,
-// engine/adversarial_kernels.cpp over the parallel Engine.  The per-node
-// fold (fault application, delay mailbox, group filtering, commit rules)
-// lives here as plain functions both Ops call, so the two paths cannot
-// drift: bit-identity at 1/2/8 threads is pinned by tests/test_adversary.cpp.
+// template per pipeline takes the executor itself — core/adversarial.cpp
+// instantiates it over the sequential Network, engine/adversarial_kernels.cpp
+// over the parallel Engine.  The per-node fold (fault application, delay
+// mailbox, group filtering, commit rules) lives here as plain functions run
+// inside the executor's parallel_shards, so the two paths cannot drift:
+// bit-identity at 1/2/8 threads is pinned by tests/test_adversary.cpp.
 //
-// The Ops concept:
-//   uint32_t size();
-//   uint64_t seed();
-//   const FailureModel& failures();
-//   AdversaryStrategy* adversary();      // nullptr when none installed
-//   const Metrics& metrics();
-//   uint64_t round();                    // current round counter
-//   void advance_rounds(uint32_t k);     // k x begin_round()
-//   template <typename Fn> void for_each_node(Fn&& fn);
-//       // runs fn(v, Metrics& local) for every node v; `local` fragments
-//       // are folded into the executor Metrics deterministically (Network:
-//       // one accumulator; Engine: shard accumulators merged in shard
-//       // order).  fn must write only node-v slots.
-//   AdversarialQuantileResult quantile(span<const Key>,
-//                                      const AdversarialQuantileParams&);
-//       // re-entry for the mean pipeline's clip-bound sub-runs
+// An executor `ex` must provide the RoundCore accessors and round counter
+// (size, seed, round, metrics, failures, adversary, begin_round),
+// parallel_shards(fn) with per-shard Metrics folded in shard order
+// (Network: one shard), and the re-entry overload for the mean pipeline's
+// clip-bound sub-runs:
+//   AdversarialQuantileResult adversarial_quantile_keys(
+//       ex, span<const Key>, const AdversarialQuantileParams&);
 //
-// Unlike the interned robust kernels (engine/kernels.cpp), the engine Ops
-// run on plain pooled Key buffers: corrupt payloads are arbitrary values
-// the intern table has never seen, so a rank-lane representation cannot
-// hold them.
+// Unlike the interned robust kernels (engine/kernels.cpp), these pipelines
+// run on plain Key buffers on the Engine too: corrupt payloads are
+// arbitrary values the intern table has never seen, so a rank-lane
+// representation cannot hold them.
 #pragma once
 
 #include <algorithm>
@@ -204,6 +195,13 @@ inline bool node_down(const AdversaryStrategy* adversary, std::uint32_t node,
          adversary->fault(node, round).kind == FaultKind::kCrash;
 }
 
+// Starts k rounds at once; the fused blocks below read their rounds by
+// explicit index from the block's first round.
+template <typename Executor>
+inline void advance_rounds(Executor& ex, std::uint32_t k) {
+  for (std::uint32_t i = 0; i < k; ++i) (void)ex.begin_round();
+}
+
 // The per-node fold of one fused pull block under message faults — the ONE
 // copy of fault semantics both executors execute.  For each of `pulls`
 // rounds (block-relative j, absolute base + j):
@@ -329,17 +327,17 @@ struct GroupCollector {
 // orchestrating thread at identical points by both executors (it is part of
 // this shared control flow), which is what keeps adaptive strategies'
 // target choices — and therefore transcripts — bit-identical.
-template <typename Ops>
-inline void observe_block(Ops& ops, std::uint64_t first_round,
+template <typename Executor>
+inline void observe_block(Executor& ex, std::uint64_t first_round,
                           std::uint32_t rounds, std::span<const Key> keys,
                           std::span<const double> values) {
-  AdversaryStrategy* adversary = ops.adversary();
+  AdversaryStrategy* adversary = ex.adversary();
   if (adversary == nullptr) return;
   RoundWindow window;
   window.first_round = first_round;
   window.rounds = rounds;
-  window.n = ops.size();
-  window.seed = ops.seed();
+  window.n = ex.size();
+  window.seed = ex.seed();
   window.keys = keys;
   window.values = values;
   adversary->observe(window);
@@ -373,152 +371,164 @@ inline QualityReport make_quality(const Metrics& delta, std::uint64_t served,
 // groups both produced a filtered sample run the tournament commit; anyone
 // short keeps their value (the filtered analogue of "turning bad" — with no
 // good flags, keeping the value is the conservative commit).
-template <typename Ops>
-inline void filtered_two_iteration(Ops& ops, std::vector<Key>& state,
+template <typename Executor>
+inline void filtered_two_iteration(Executor& ex, std::vector<Key>& state,
                                    std::vector<Key>& next, std::uint32_t g,
                                    double delta, bool suppress_high) {
   GQ_SPAN("adversarial/filtered_two");
-  const std::uint32_t n = ops.size();
+  const std::uint32_t n = ex.size();
   const std::uint32_t pulls = 2 * g;
-  const std::uint64_t base = ops.round() + 1;
+  const std::uint64_t base = ex.round() + 1;
   const std::uint64_t commit_round = base + pulls;
-  observe_block(ops, base, pulls + 1, state, {});
-  ops.advance_rounds(pulls + 1);
+  observe_block(ex, base, pulls + 1, state, {});
+  advance_rounds(ex, pulls + 1);
   const std::uint64_t bits = key_bits(n);
   const Key* snapshot = state.data();
-  const FailureModel& failures = ops.failures();
-  const AdversaryStrategy* adversary = ops.adversary();
-  const std::uint64_t seed = ops.seed();
-  ops.for_each_node([&](std::uint32_t v, Metrics& local) {
-    GroupCollector<Key> groups(2, g);
-    const std::uint64_t sent = walk_faulted_pulls<Key>(
-        seed, base, pulls, v, n, failures, adversary,
-        [&](std::uint32_t, std::uint32_t peer) { return snapshot[peer]; },
-        [&](double injected) {
-          return Key{injected, n, 0};
-        },
-        [&](std::uint32_t j, const Key& payload) {
-          groups.deliver(j, payload);
-        },
-        local);
-    local.record_messages(sent, bits);
-    Key f0, f1;
-    if (groups.filtered_sample(0, f0) && groups.filtered_sample(1, f1)) {
-      SplitMix64 coin = streams::node_stream(seed, commit_round, v);
-      const bool tournament = delta >= 1.0 || rand_bernoulli(coin, delta);
-      next[v] = robust_detail::two_tournament_commit(f0, f1, tournament,
-                                                     suppress_high);
-    } else {
-      next[v] = state[v];
-    }
-  });
+  const FailureModel& failures = ex.failures();
+  const AdversaryStrategy* adversary = ex.adversary();
+  const std::uint64_t seed = ex.seed();
+  ex.parallel_shards(
+      [&](std::uint32_t begin, std::uint32_t end, Metrics& local) {
+        for (std::uint32_t v = begin; v < end; ++v) {
+          GroupCollector<Key> groups(2, g);
+          const std::uint64_t sent = walk_faulted_pulls<Key>(
+              seed, base, pulls, v, n, failures, adversary,
+              [&](std::uint32_t, std::uint32_t peer) { return snapshot[peer]; },
+              [&](double injected) {
+                return Key{injected, n, 0};
+              },
+              [&](std::uint32_t j, const Key& payload) {
+                groups.deliver(j, payload);
+              },
+              local);
+          local.record_messages(sent, bits);
+          Key f0, f1;
+          if (groups.filtered_sample(0, f0) && groups.filtered_sample(1, f1)) {
+            SplitMix64 coin = streams::node_stream(seed, commit_round, v);
+            const bool tournament = delta >= 1.0 || rand_bernoulli(coin, delta);
+            next[v] = robust_detail::two_tournament_commit(f0, f1, tournament,
+                                                           suppress_high);
+          } else {
+            next[v] = state[v];
+          }
+        }
+      });
   state.swap(next);
 }
 
 // One filtered 3-TOURNAMENT iteration: 3g pull rounds in three groups; the
 // median-of-three commit draws no randomness, so there is no commit round.
-template <typename Ops>
-inline void filtered_three_iteration(Ops& ops, std::vector<Key>& state,
+template <typename Executor>
+inline void filtered_three_iteration(Executor& ex, std::vector<Key>& state,
                                      std::vector<Key>& next, std::uint32_t g) {
   GQ_SPAN("adversarial/filtered_three");
-  const std::uint32_t n = ops.size();
+  const std::uint32_t n = ex.size();
   const std::uint32_t pulls = 3 * g;
-  const std::uint64_t base = ops.round() + 1;
-  observe_block(ops, base, pulls, state, {});
-  ops.advance_rounds(pulls);
+  const std::uint64_t base = ex.round() + 1;
+  observe_block(ex, base, pulls, state, {});
+  advance_rounds(ex, pulls);
   const std::uint64_t bits = key_bits(n);
   const Key* snapshot = state.data();
-  const FailureModel& failures = ops.failures();
-  const AdversaryStrategy* adversary = ops.adversary();
-  const std::uint64_t seed = ops.seed();
-  ops.for_each_node([&](std::uint32_t v, Metrics& local) {
-    GroupCollector<Key> groups(3, g);
-    const std::uint64_t sent = walk_faulted_pulls<Key>(
-        seed, base, pulls, v, n, failures, adversary,
-        [&](std::uint32_t, std::uint32_t peer) { return snapshot[peer]; },
-        [&](double injected) {
-          return Key{injected, n, 0};
-        },
-        [&](std::uint32_t j, const Key& payload) {
-          groups.deliver(j, payload);
-        },
-        local);
-    local.record_messages(sent, bits);
-    Key f0, f1, f2;
-    if (groups.filtered_sample(0, f0) && groups.filtered_sample(1, f1) &&
-        groups.filtered_sample(2, f2)) {
-      next[v] = robust_detail::median3(f0, f1, f2);
-    } else {
-      next[v] = state[v];
-    }
-  });
+  const FailureModel& failures = ex.failures();
+  const AdversaryStrategy* adversary = ex.adversary();
+  const std::uint64_t seed = ex.seed();
+  ex.parallel_shards(
+      [&](std::uint32_t begin, std::uint32_t end, Metrics& local) {
+        for (std::uint32_t v = begin; v < end; ++v) {
+          GroupCollector<Key> groups(3, g);
+          const std::uint64_t sent = walk_faulted_pulls<Key>(
+              seed, base, pulls, v, n, failures, adversary,
+              [&](std::uint32_t, std::uint32_t peer) { return snapshot[peer]; },
+              [&](double injected) {
+                return Key{injected, n, 0};
+              },
+              [&](std::uint32_t j, const Key& payload) {
+                groups.deliver(j, payload);
+              },
+              local);
+          local.record_messages(sent, bits);
+          Key f0, f1, f2;
+          if (groups.filtered_sample(0, f0) && groups.filtered_sample(1, f1) &&
+              groups.filtered_sample(2, f2)) {
+            next[v] = robust_detail::median3(f0, f1, f2);
+          } else {
+            next[v] = state[v];
+          }
+        }
+      });
   state.swap(next);
 }
 
 // Final step: K groups of g pulls each; a node is served iff a majority of
 // its groups produced a filtered sample, and outputs their median.
-template <typename Ops>
-inline void final_filtered_median(Ops& ops, std::vector<Key>& state,
+template <typename Executor>
+inline void final_filtered_median(Executor& ex, std::vector<Key>& state,
                                   std::uint32_t g, std::uint32_t k_samples,
                                   std::vector<Key>& outputs,
                                   std::vector<bool>& valid) {
   GQ_SPAN("adversarial/final_filtered");
-  const std::uint32_t n = ops.size();
+  const std::uint32_t n = ex.size();
   const std::uint32_t pulls = k_samples * g;
-  const std::uint64_t base = ops.round() + 1;
-  observe_block(ops, base, pulls, state, {});
-  ops.advance_rounds(pulls);
+  const std::uint64_t base = ex.round() + 1;
+  observe_block(ex, base, pulls, state, {});
+  advance_rounds(ex, pulls);
   const std::uint64_t bits = key_bits(n);
   const Key* snapshot = state.data();
-  const FailureModel& failures = ops.failures();
-  const AdversaryStrategy* adversary = ops.adversary();
-  const std::uint64_t seed = ops.seed();
+  const FailureModel& failures = ex.failures();
+  const AdversaryStrategy* adversary = ex.adversary();
+  const std::uint64_t seed = ex.seed();
   outputs.assign(n, Key{});
   // Parallel sections write a byte per node, never vector<bool> bits —
   // adjacent bits share words across shard boundaries (same staging
   // discipline as engine/kernels.cpp).
   std::vector<std::uint8_t> valid8(n, 0);
-  ops.for_each_node([&](std::uint32_t v, Metrics& local) {
-    GroupCollector<Key> groups(k_samples, g);
-    const std::uint64_t sent = walk_faulted_pulls<Key>(
-        seed, base, pulls, v, n, failures, adversary,
-        [&](std::uint32_t, std::uint32_t peer) { return snapshot[peer]; },
-        [&](double injected) {
-          return Key{injected, n, 0};
-        },
-        [&](std::uint32_t j, const Key& payload) {
-          groups.deliver(j, payload);
-        },
-        local);
-    local.record_messages(sent, bits);
-    std::array<Key, kMaxFinalSamples> filtered;
-    std::uint32_t collected = 0;
-    for (std::uint32_t i = 0; i < k_samples; ++i) {
-      Key sample;
-      if (groups.filtered_sample(i, sample)) filtered[collected++] = sample;
-    }
-    // A node still down at the end of the block is excluded from the served
-    // set regardless of what it collected before crashing (it cannot emit an
-    // answer); shared code, so both executors exclude identically.
-    const bool down_at_end = node_down(adversary, v, base + pulls - 1);
-    if (!down_at_end && collected >= k_samples / 2 + 1) {
-      std::sort(filtered.begin(), filtered.begin() + collected);
-      outputs[v] = filtered[(collected - 1u) / 2u];
-      valid8[v] = 1;
-    } else {
-      outputs[v] = state[v];
-    }
-  });
+  ex.parallel_shards(
+      [&](std::uint32_t begin, std::uint32_t end, Metrics& local) {
+        for (std::uint32_t v = begin; v < end; ++v) {
+          GroupCollector<Key> groups(k_samples, g);
+          const std::uint64_t sent = walk_faulted_pulls<Key>(
+              seed, base, pulls, v, n, failures, adversary,
+              [&](std::uint32_t, std::uint32_t peer) { return snapshot[peer]; },
+              [&](double injected) {
+                return Key{injected, n, 0};
+              },
+              [&](std::uint32_t j, const Key& payload) {
+                groups.deliver(j, payload);
+              },
+              local);
+          local.record_messages(sent, bits);
+          std::array<Key, kMaxFinalSamples> filtered;
+          std::uint32_t collected = 0;
+          for (std::uint32_t i = 0; i < k_samples; ++i) {
+            Key sample;
+            if (groups.filtered_sample(i, sample)) {
+              filtered[collected++] = sample;
+            }
+          }
+          // A node still down at the end of the block is excluded from the
+          // served set regardless of what it collected before crashing (it
+          // cannot emit an answer); shared code, so both executors exclude
+          // identically.
+          const bool down_at_end = node_down(adversary, v, base + pulls - 1);
+          if (!down_at_end && collected >= k_samples / 2 + 1) {
+            std::sort(filtered.begin(), filtered.begin() + collected);
+            outputs[v] = filtered[(collected - 1u) / 2u];
+            valid8[v] = 1;
+          } else {
+            outputs[v] = state[v];
+          }
+        }
+      });
   valid.assign(n, false);
   for (std::uint32_t v = 0; v < n; ++v) valid[v] = valid8[v] != 0;
 }
 
-template <typename Ops>
+template <typename Executor>
 AdversarialQuantileResult adversarial_quantile_impl(
-    Ops& ops, std::span<const Key> keys,
+    Executor& ex, std::span<const Key> keys,
     const AdversarialQuantileParams& params) {
   GQ_SPAN("pipeline/adversarial_quantile");
-  const std::uint32_t n = ops.size();
+  const std::uint32_t n = ex.size();
   GQ_REQUIRE(keys.size() == n, "one key per node required");
   GQ_REQUIRE(params.phi >= 0.0 && params.phi <= 1.0,
              "phi must lie in [0,1]");
@@ -533,7 +543,7 @@ AdversarialQuantileResult adversarial_quantile_impl(
   const std::uint32_t g = params.filter_group | 1u;   // force odd
   const std::uint32_t k = params.final_sample_size | 1u;
 
-  const Metrics before = ops.metrics();
+  const Metrics before = ex.metrics();
   AdversarialQuantileResult result;
   std::vector<Key> state(keys.begin(), keys.end());
   std::vector<Key> next(state.size());
@@ -546,7 +556,7 @@ AdversarialQuantileResult adversarial_quantile_impl(
       two_tournament_schedule(start, params.eps);
   for (std::size_t iter = 0; iter < schedule.iterations(); ++iter) {
     const double delta = params.truncate_last ? schedule.delta[iter] : 1.0;
-    filtered_two_iteration(ops, state, next, g, delta, suppress_high);
+    filtered_two_iteration(ex, state, next, g, delta, suppress_high);
     ++result.phase1_iterations;
   }
 
@@ -554,13 +564,13 @@ AdversarialQuantileResult adversarial_quantile_impl(
   const ThreeTournamentSchedule schedule3 =
       three_tournament_schedule(params.eps / 4.0, n);
   for (std::size_t iter = 0; iter < schedule3.iterations(); ++iter) {
-    filtered_three_iteration(ops, state, next, g);
+    filtered_three_iteration(ex, state, next, g);
     ++result.phase2_iterations;
   }
 
-  final_filtered_median(ops, state, g, k, result.outputs, result.valid);
+  final_filtered_median(ex, state, g, k, result.outputs, result.valid);
 
-  const Metrics delta = ops.metrics().since(before);
+  const Metrics delta = ex.metrics().since(before);
   result.rounds = delta.rounds;
   result.quality = make_quality(delta, result.served_nodes(), n,
                                 params.min_served_fraction,
@@ -568,14 +578,14 @@ AdversarialQuantileResult adversarial_quantile_impl(
   return result;
 }
 
-template <typename Ops>
-AdversarialMeanResult adversarial_mean_impl(Ops& ops,
+template <typename Executor>
+AdversarialMeanResult adversarial_mean_impl(Executor& ex,
                                             std::span<const double> values,
                                             std::span<const Key> keys,
                                             const AdversarialMeanParams&
                                                 params) {
   GQ_SPAN("pipeline/adversarial_mean");
-  const std::uint32_t n = ops.size();
+  const std::uint32_t n = ex.size();
   GQ_REQUIRE(values.size() == n && keys.size() == n,
              "one value per node required");
   GQ_REQUIRE(params.clip_lo_phi < params.clip_hi_phi,
@@ -584,7 +594,7 @@ AdversarialMeanResult adversarial_mean_impl(Ops& ops,
                  params.mean_sample_rounds <= kMaxMeanRounds,
              "mean sample rounds out of range");
 
-  const Metrics before = ops.metrics();
+  const Metrics before = ex.metrics();
   AdversarialMeanResult result;
 
   // Clip bounds from two adversarial quantile sub-runs.  Every node ends up
@@ -598,12 +608,12 @@ AdversarialMeanResult adversarial_mean_impl(Ops& ops,
   qp.phi = params.clip_lo_phi;
   const AdversarialQuantileResult q_lo = [&] {
     GQ_SPAN("adversarial/clip_bounds");
-    return ops.quantile(keys, qp);
+    return adversarial_quantile_keys(ex, keys, qp);
   }();
   qp.phi = params.clip_hi_phi;
   const AdversarialQuantileResult q_hi = [&] {
     GQ_SPAN("adversarial/clip_bounds");
-    return ops.quantile(keys, qp);
+    return adversarial_quantile_keys(ex, keys, qp);
   }();
 
   std::vector<double> clip_lo(n), clip_hi(n);
@@ -623,49 +633,54 @@ AdversarialMeanResult adversarial_mean_impl(Ops& ops,
   // values, averaged per node in round order (fixed FP summation order is
   // part of the bit-identity contract).
   const std::uint32_t rounds = params.mean_sample_rounds;
-  const std::uint64_t base = ops.round() + 1;
+  const std::uint64_t base = ex.round() + 1;
   {
     GQ_SPAN("adversarial/mean_samples");
-    observe_block(ops, base, rounds, {}, values);
-    ops.advance_rounds(rounds);
+    observe_block(ex, base, rounds, {}, values);
+    advance_rounds(ex, rounds);
   }
   result.estimates.assign(n, 0.0);
   std::vector<std::uint8_t> valid8(n, 0);
   const double* value_data = values.data();
-  const FailureModel& failures = ops.failures();
-  const AdversaryStrategy* adversary = ops.adversary();
-  const std::uint64_t seed = ops.seed();
+  const FailureModel& failures = ex.failures();
+  const AdversaryStrategy* adversary = ex.adversary();
+  const std::uint64_t seed = ex.seed();
   const std::uint32_t min_count = std::max(1u, rounds / 2);
   double* estimate_data = result.estimates.data();
-  ops.for_each_node([&](std::uint32_t v, Metrics& local) {
-    double sum = 0.0;
-    std::uint32_t count = 0;
-    const double lo = clip_lo[v];
-    const double hi = clip_hi[v];
-    const std::uint64_t sent = walk_faulted_pulls<double>(
-        seed, base, rounds, v, n, failures, adversary,
-        [&](std::uint32_t, std::uint32_t peer) { return value_data[peer]; },
-        [&](double injected) { return injected; },
-        [&](std::uint32_t, double payload) {
-          sum += std::clamp(payload, lo, hi);
-          ++count;
-        },
-        local);
-    // A mean sample is one value word; bill it at the 64-bit payload size
-    // rather than the tagged key size.
-    local.record_messages(sent, 64);
-    // Same serving rule as the quantile's final step: down at the end of
-    // the sampling block means unserved.
-    const bool down_at_end = node_down(adversary, v, base + rounds - 1);
-    if (!down_at_end && clip_ok[v] && count >= min_count) {
-      estimate_data[v] = sum / static_cast<double>(count);
-      valid8[v] = 1;
-    }
-  });
+  ex.parallel_shards(
+      [&](std::uint32_t begin, std::uint32_t end, Metrics& local) {
+        for (std::uint32_t v = begin; v < end; ++v) {
+          double sum = 0.0;
+          std::uint32_t count = 0;
+          const double lo = clip_lo[v];
+          const double hi = clip_hi[v];
+          const std::uint64_t sent = walk_faulted_pulls<double>(
+              seed, base, rounds, v, n, failures, adversary,
+              [&](std::uint32_t, std::uint32_t peer) {
+                return value_data[peer];
+              },
+              [&](double injected) { return injected; },
+              [&](std::uint32_t, double payload) {
+                sum += std::clamp(payload, lo, hi);
+                ++count;
+              },
+              local);
+          // A mean sample is one value word; bill it at the 64-bit payload size
+          // rather than the tagged key size.
+          local.record_messages(sent, 64);
+          // Same serving rule as the quantile's final step: down at the end of
+          // the sampling block means unserved.
+          const bool down_at_end = node_down(adversary, v, base + rounds - 1);
+          if (!down_at_end && clip_ok[v] && count >= min_count) {
+            estimate_data[v] = sum / static_cast<double>(count);
+            valid8[v] = 1;
+          }
+        }
+      });
   result.valid.assign(n, false);
   for (std::uint32_t v = 0; v < n; ++v) result.valid[v] = valid8[v] != 0;
 
-  const Metrics delta = ops.metrics().since(before);
+  const Metrics delta = ex.metrics().since(before);
   result.rounds = delta.rounds;
   result.quality = make_quality(delta, result.served_nodes(), n,
                                 params.min_served_fraction,

@@ -1,34 +1,38 @@
 // The executor-independent control flow of the approximate quantile
 // pipeline (Theorems 1.2 / 2.1, plus the Section-5 robust route).
 //
-// Same rationale as core/exact_pipeline.hpp and core/robust_pipeline.hpp:
-// the eps-floor fallback decision, the Lemma-2.11 phase2_eps choice, the
+// The eps-floor fallback decision, the Lemma-2.11 phase2_eps choice, the
 // failure-free vs robust routing, and the coverage call are all observable
-// in outputs, round counts, and Metrics, so the sequential Network path and
-// the parallel Engine must execute ONE copy of this logic.  The Ops
-// provider supplies the executor-bound phases:
+// in outputs, round counts, and Metrics, so the sequential Network and the
+// parallel Engine execute ONE copy of this logic (the same pattern as
+// core/exact_pipeline.hpp and core/own_rank.hpp): approx_quantile_keys_impl
+// takes the executor and calls its overloads directly.
 //
-//   uint32_t size();
-//   const Metrics& metrics();
-//   bool faultless();   // no failure model AND no adversary installed
-//   ExactQuantileResult exact(span<const Key>, const ExactQuantileParams&);
-//   TournamentRun tournament(span<const Key>, const ApproxQuantileParams&,
-//                            double phase2_eps);  // Phase 1, 2, final sample
-//   RobustTwoTournamentOutcome   robust_two(state, good, phi, eps,
-//                                           truncate_last);
-//   RobustThreeTournamentOutcome robust_three(state, good, eps, k);
-//   uint64_t coverage(outputs, valid, t);
+// An executor `ex` must provide size(), metrics(), faultless() (RoundCore)
+// and these overloads:
+//   ExactQuantileResult exact_quantile_keys(ex, span<const Key>,
+//                                           const ExactQuantileParams&);
+//   TournamentRun failure_free_tournament(ex, span<const Key>,
+//                                         const ApproxQuantileParams&,
+//                                         double phase2_eps);
+//   RobustTwoTournamentOutcome robust_two_tournament(ex, state, good, phi,
+//                                                    eps, truncate_last);
+//   RobustThreeTournamentOutcome robust_three_tournament(ex, state, good,
+//                                                        eps, k);
+//   uint64_t robust_coverage(ex, outputs, valid, t);
 //
-// The failure-free tournament is one op so each executor runs it on its
-// own representation: Network chains core/two_tournament and
-// core/three_tournament (the reference oracle, as written in the paper);
-// Engine drives the shared-schedule q-lane kernels with one lane
-// (multi_detail::run_shared_schedule), never exporting state between the
-// phases.  Both attribute time to the ApproxPhaseSpans names.
+// The failure-free tournament (Phase 1, Phase 2, final sample) is the one
+// step each executor runs on its own representation, hence the two
+// failure_free_tournament overloads declared below: Network chains
+// core/two_tournament and core/three_tournament (the reference oracle, as
+// written in the paper; core/approx_quantile.cpp); Engine drives the
+// shared-schedule q-lane kernels with one lane
+// (multi_detail::run_shared_schedule; engine/pipelines.cpp), never
+// exporting state between the phases.  Both attribute time to the
+// ApproxPhaseSpans names.
 //
-// Instantiated by core/approx_quantile.cpp (Network) and
-// engine/pipelines.cpp (Engine); bit-identity of the two is pinned by
-// tests/test_engine.cpp and tests/test_engine_robust.cpp.
+// Bit-identity of the two instantiations is pinned by tests/test_engine.cpp
+// and tests/test_engine_robust.cpp.
 #pragma once
 
 #include <cstddef>
@@ -44,7 +48,12 @@
 #include "telemetry/telemetry.hpp"
 #include "util/require.hpp"
 
-namespace gq::approx_detail {
+namespace gq {
+
+class Network;
+class Engine;
+
+namespace approx_detail {
 
 // Span names of the failure-free tournament's two phases.
 struct ApproxPhaseSpans {
@@ -52,17 +61,26 @@ struct ApproxPhaseSpans {
   static constexpr const char* kThree = "approx/three_tournament";
 };
 
-// What the failure-free tournament op returns.
+// What the failure-free tournament returns.
 struct TournamentRun {
   std::size_t phase1_iterations = 0;
   std::size_t phase2_iterations = 0;
   std::vector<Key> outputs;
 };
 
-template <typename Ops>
+TournamentRun failure_free_tournament(Network& net, std::span<const Key> keys,
+                                      const ApproxQuantileParams& params,
+                                      double phase2_eps);
+TournamentRun failure_free_tournament(Engine& engine,
+                                      std::span<const Key> keys,
+                                      const ApproxQuantileParams& params,
+                                      double phase2_eps);
+
+template <typename Executor>
 ApproxQuantileResult approx_quantile_keys_impl(
-    Ops& ops, std::span<const Key> keys, const ApproxQuantileParams& params) {
-  const std::uint32_t n = ops.size();
+    Executor& ex, std::span<const Key> keys,
+    const ApproxQuantileParams& params) {
+  const std::uint32_t n = ex.size();
   GQ_REQUIRE(keys.size() == n, "one key per node required");
   GQ_REQUIRE(params.phi >= 0.0 && params.phi <= 1.0, "phi must lie in [0,1]");
   GQ_REQUIRE(params.eps > 0.0 && params.eps < 0.5,
@@ -71,7 +89,7 @@ ApproxQuantileResult approx_quantile_keys_impl(
              "final sample size must be positive");
 
   GQ_SPAN("pipeline/approx_quantile");
-  const Metrics before = ops.metrics();
+  const Metrics before = ex.metrics();
 
   if (params.eps < eps_tournament_floor(n) && !params.force_tournament) {
     // Theorem 1.2 bootstrap: for eps below the sampling floor the exact
@@ -79,11 +97,11 @@ ApproxQuantileResult approx_quantile_keys_impl(
     GQ_SPAN("approx/exact_fallback");
     ExactQuantileParams ep;
     ep.phi = params.phi;
-    const ExactQuantileResult er = ops.exact(keys, ep);
+    const ExactQuantileResult er = exact_quantile_keys(ex, keys, ep);
     ApproxQuantileResult out;
     out.outputs = er.outputs;
     out.valid = er.valid;
-    out.rounds = ops.metrics().rounds - before.rounds;
+    out.rounds = ex.metrics().rounds - before.rounds;
     out.used_exact_fallback = true;
     return out;
   }
@@ -94,8 +112,8 @@ ApproxQuantileResult approx_quantile_keys_impl(
   // configuration lies in the original [phi - eps, phi + eps] window.
   const double phase2_eps = params.eps / 4.0;
 
-  if (ops.faultless()) {
-    TournamentRun run = ops.tournament(keys, params, phase2_eps);
+  if (ex.faultless()) {
+    TournamentRun run = failure_free_tournament(ex, keys, params, phase2_eps);
     out.phase1_iterations = run.phase1_iterations;
     out.phase2_iterations = run.phase2_iterations;
     out.outputs = std::move(run.outputs);
@@ -105,26 +123,27 @@ ApproxQuantileResult approx_quantile_keys_impl(
     std::vector<bool> good(n, true);
     const auto p1 = [&] {
       GQ_SPAN("approx/robust_two_tournament");
-      return ops.robust_two(state, good, params.phi, params.eps,
-                            params.truncate_last);
+      return robust_two_tournament(ex, state, good, params.phi, params.eps,
+                                   params.truncate_last);
     }();
     auto p2 = [&] {
       GQ_SPAN("approx/robust_three_tournament");
-      return ops.robust_three(state, good, phase2_eps,
-                              params.final_sample_size);
+      return robust_three_tournament(ex, state, good, phase2_eps,
+                                     params.final_sample_size);
     }();
     out.phase1_iterations = p1.iterations;
     out.phase2_iterations = p2.iterations;
     {
       GQ_SPAN("approx/coverage");
-      ops.coverage(p2.outputs, p2.valid, params.robust_coverage_rounds);
+      robust_coverage(ex, p2.outputs, p2.valid, params.robust_coverage_rounds);
     }
     out.outputs = std::move(p2.outputs);
     out.valid = std::move(p2.valid);
   }
 
-  out.rounds = ops.metrics().rounds - before.rounds;
+  out.rounds = ex.metrics().rounds - before.rounds;
   return out;
 }
 
-}  // namespace gq::approx_detail
+}  // namespace approx_detail
+}  // namespace gq

@@ -1,35 +1,30 @@
 // The executor-independent control flow of Algorithm 3 (exact quantile).
 //
-// exact_quantile historically lived as one Network-bound function; porting
-// it to the parallel engine would have meant duplicating ~250 lines of
-// bracketing bookkeeping whose every branch is observable in round counts
-// and Metrics — a bit-identity hazard.  Instead the pipeline is templated
-// over an `Ops` provider supplying the gossip substrates, and both
-// executors instantiate the SAME control flow through the one provider
-// below, ExactOps<Executor>, whose members resolve by overload:
+// Every branch of the bracketing bookkeeping is observable in round counts
+// and Metrics, so the sequential Network and the parallel Engine run ONE
+// copy of it: the templates below take the executor itself and call its
+// overloads of each gossip substrate directly, resolved by overload at
+// instantiation (core/exact_quantile.cpp for Network, engine/pipelines.cpp
+// for Engine).  Bit-identity of the two paths then reduces to bit-identity
+// of each primitive, which tests/test_engine.cpp pins kernel by kernel.
 //
-//   * core/exact_quantile.cpp  — ExactOps<Network>: agg/spread,
-//     agg/rank_count, core/pivot, core/token_split;
-//   * engine/pipelines.cpp     — ExactOps<Engine>: the parallel Engine's
-//     batched kernels (scatter-based push-sum, token split, spreads).
-//
-// Bit-identity of the two paths then reduces to bit-identity of each
-// primitive, which tests/test_engine.cpp pins kernel by kernel.
-//
-// The Ops concept (duck-typed):
-//   uint32_t  size();
-//   uint64_t  seed();                // diagnostic context for typed aborts
-//   uint64_t  round();               //   "  (stream-relative round counter)
-//   const Metrics& metrics();
-//   ApproxQuantileResult approx(span<const Key>, const ApproxQuantileParams&);
-//   SpreadResult spread_min_keys(span<const Key>);
-//   SpreadResult spread_max_keys(span<const Key>);
-//   CountResult  count(const vector<bool>&);
-//   CountResult  rank(span<const Key>, const Key&);
-//   TripleCountResult count3(const vector<bool>&, ..., ...);
-//   PivotSample  pivot(span<const Key>, const vector<bool>&);
-//   TokenSplitResult token_split(span<const Key>, uint64_t m, uint64_t tag);
-//   uint64_t exact_count_rounds();   // cost-model input
+// An executor `ex` must provide the RoundCore accessors (size, seed, round,
+// metrics, failures) and these overloads:
+//   ApproxQuantileResult approx_quantile_keys(ex, span<const Key>,
+//                                             const ApproxQuantileParams&);
+//   SpreadResult spread_min(ex, span<const Key>);
+//   SpreadResult spread_max(ex, span<const Key>);
+//   CountResult  gossip_count(ex, const vector<bool>&);
+//   CountResult  gossip_rank(ex, span<const Key>, const Key&);
+//   TripleCountResult gossip_count3(ex, const vector<bool>&,
+//                                   const vector<bool>&,
+//                                   const vector<bool>&);
+//   PivotSample  sample_uniform_candidate(ex, span<const Key>,
+//                                         const vector<bool>&);
+//   TokenSplitResult token_split_distribute(ex, span<const Key>,
+//                                           uint64_t m, uint64_t tag);
+// (Network's live in agg/, core/pivot, core/token_split and
+// core/approx_quantile; Engine's in engine/pipelines.hpp.)
 #pragma once
 
 #include <algorithm>
@@ -58,64 +53,18 @@
 
 namespace gq::exact_detail {
 
-// The one Ops provider: forwards each substrate to the executor's overload
-// of the primitive (the Engine's live in engine/pipelines.hpp, which the
-// instantiating translation unit includes).
-template <typename Executor>
-struct ExactOps {
-  Executor& ex;
-
-  [[nodiscard]] std::uint32_t size() const { return ex.size(); }
-  [[nodiscard]] std::uint64_t seed() const { return ex.seed(); }
-  [[nodiscard]] std::uint64_t round() const { return ex.round(); }
-  [[nodiscard]] const Metrics& metrics() const { return ex.metrics(); }
-
-  ApproxQuantileResult approx(std::span<const Key> keys,
-                              const ApproxQuantileParams& params) {
-    return approx_quantile_keys(ex, keys, params);
-  }
-  SpreadResult spread_min_keys(std::span<const Key> init) {
-    return spread_min(ex, init);
-  }
-  SpreadResult spread_max_keys(std::span<const Key> init) {
-    return spread_max(ex, init);
-  }
-  CountResult count(const std::vector<bool>& indicator) {
-    return gossip_count(ex, indicator);
-  }
-  CountResult rank(std::span<const Key> keys, const Key& threshold) {
-    return gossip_rank(ex, keys, threshold);
-  }
-  TripleCountResult count3(const std::vector<bool>& a,
-                           const std::vector<bool>& b,
-                           const std::vector<bool>& c) {
-    return gossip_count3(ex, a, b, c);
-  }
-  PivotSample pivot(std::span<const Key> inst,
-                    const std::vector<bool>& candidate) {
-    return sample_uniform_candidate(ex, inst, candidate);
-  }
-  TokenSplitResult token_split(std::span<const Key> inst,
-                               std::uint64_t multiplier,
-                               std::uint64_t tag_base) {
-    return token_split_distribute(ex, inst, multiplier, tag_base);
-  }
-  [[nodiscard]] std::uint64_t exact_count_rounds() const {
-    return push_sum_rounds_for_exact(ex.size(), ex.failures());
-  }
-};
-
 // Structured throw-site context for ExactPipelineError: which run (seed, n)
 // aborted, where (phase label), and when.  The round is the executor's
 // stream-relative counter (reset by reset_stream), not lifetime Metrics
 // rounds, so warm service attempts abort with the same context as a cold
 // run — the context is part of the differential contract.
-template <typename Ops>
-ExactPipelineError::Context abort_context(Ops& ops, const char* phase) {
+template <typename Executor>
+ExactPipelineError::Context abort_context(const Executor& ex,
+                                          const char* phase) {
   ExactPipelineError::Context context;
-  context.seed = ops.seed();
-  context.round = ops.round();
-  context.n = ops.size();
+  context.seed = ex.seed();
+  context.round = ex.round();
+  context.n = ex.size();
   context.phase = phase;
   return context;
 }
@@ -129,10 +78,10 @@ struct PipelineOutcome {
 };
 
 // Broadcasts the smallest finite key among `contributions` to every node.
-template <typename Ops>
-Key broadcast_min_finite(Ops& ops, std::vector<Key> contributions,
+template <typename Executor>
+Key broadcast_min_finite(Executor& ex, std::vector<Key> contributions,
                          std::vector<Key>& outputs) {
-  const SpreadResult sr = ops.spread_min_keys(contributions);
+  const SpreadResult sr = spread_min(ex, contributions);
   GQ_REQUIRE(sr.converged && sr.values.front().is_finite(),
              "answer broadcast failed to converge on a finite key");
   outputs = sr.values;
@@ -141,13 +90,13 @@ Key broadcast_min_finite(Ops& ops, std::vector<Key> contributions,
 
 // Uniform-pivot selection phases (shared mechanics with the KDG03
 // baseline): find the key of rank k within `inst` and broadcast it.
-template <typename Ops>
-PipelineOutcome selection_endgame(Ops& ops, std::vector<Key>& inst,
+template <typename Executor>
+PipelineOutcome selection_endgame(Executor& ex, std::vector<Key>& inst,
                                   std::uint64_t k,
                                   const ExactQuantileParams& params,
                                   std::size_t iterations_so_far) {
   GQ_SPAN("exact/selection_endgame");
-  const std::uint32_t n = ops.size();
+  const std::uint32_t n = ex.size();
   PipelineOutcome out;
   out.iterations = iterations_so_far;
 
@@ -160,15 +109,15 @@ PipelineOutcome selection_endgame(Ops& ops, std::vector<Key>& inst,
       candidate[v] =
           inst[v].is_finite() && lo_e < inst[v] && inst[v] < hi_e;
     }
-    const PivotSample pv = ops.pivot(inst, candidate);
+    const PivotSample pv = sample_uniform_candidate(ex, inst, candidate);
     if (!pv.found) {
       throw ExactPipelineError(
           ExactPipelineError::Kind::kEndgameNoCandidates,
           "selection endgame ran out of candidates (count inconsistency)",
-          abort_context(ops, "selection_endgame"));
+          abort_context(ex, "selection_endgame"));
     }
     ++out.endgame_phases;
-    const std::uint64_t rank = ops.rank(inst, pv.pivot).counts[0];
+    const std::uint64_t rank = gossip_rank(ex, inst, pv.pivot).counts[0];
     if (rank == k) {
       out.answer = pv.pivot;
       out.outputs.assign(n, pv.pivot);
@@ -183,7 +132,7 @@ PipelineOutcome selection_endgame(Ops& ops, std::vector<Key>& inst,
   }
   throw ExactPipelineError(ExactPipelineError::Kind::kEndgameStalled,
                            "selection endgame did not converge",
-                           abort_context(ops, "selection_endgame"));
+                           abort_context(ex, "selection_endgame"));
 }
 
 // Predicted round costs used by ExactStrategy::kAuto.  These only steer the
@@ -210,11 +159,11 @@ struct CostModel {
   }
 };
 
-template <typename Ops>
-PipelineOutcome run_pipeline(Ops& ops, std::span<const Key> keys,
+template <typename Executor>
+PipelineOutcome run_pipeline(Executor& ex, std::span<const Key> keys,
                              const ExactQuantileParams& params) {
   GQ_SPAN("exact/run_pipeline");
-  const std::uint32_t n = ops.size();
+  const std::uint32_t n = ex.size();
   const auto nd = static_cast<double>(n);
 
   // Target rank among the original keys.
@@ -248,7 +197,7 @@ PipelineOutcome run_pipeline(Ops& ops, std::span<const Key> keys,
       // phi ~ 0 fast path, where k0 = 1 makes the input minimum the answer).
       std::vector<Key> contributions = inst;
       out.answer =
-          broadcast_min_finite(ops, std::move(contributions), out.outputs);
+          broadcast_min_finite(ex, std::move(contributions), out.outputs);
       out.valid.assign(n, true);
       return out;
     }
@@ -256,17 +205,17 @@ PipelineOutcome run_pipeline(Ops& ops, std::span<const Key> keys,
       // Step 10: one approximate query lands every node inside the answer
       // block; broadcast the smallest output to serve stragglers.
       inner.phi = std::clamp(static_cast<double>(k) / nd - 2.0 * s, 0.0, 1.0);
-      ApproxQuantileResult fin = ops.approx(inst, inner);
+      ApproxQuantileResult fin = approx_quantile_keys(ex, inst, inner);
       for (std::uint32_t v = 0; v < n; ++v) {
         if (!fin.valid[v]) fin.outputs[v] = Key::infinite();
       }
-      out.answer = broadcast_min_finite(ops, std::move(fin.outputs),
+      out.answer = broadcast_min_finite(ex, std::move(fin.outputs),
                                         out.outputs);
       out.valid.assign(n, true);
       return out;
     }
     if (out.iterations >= params.max_iterations) {
-      return selection_endgame(ops, inst, k, params, out.iterations);
+      return selection_endgame(ex, inst, k, params, out.iterations);
     }
     ++out.iterations;
     GQ_SPAN("exact/iteration");
@@ -274,16 +223,16 @@ PipelineOutcome run_pipeline(Ops& ops, std::span<const Key> keys,
     // Steps 3-4: bracket the k/n-quantile from both sides and spread the
     // extremes.
     inner.phi = std::clamp(static_cast<double>(k) / nd - s, 0.0, 1.0);
-    ApproxQuantileResult r_lo = ops.approx(inst, inner);
+    ApproxQuantileResult r_lo = approx_quantile_keys(ex, inst, inner);
     inner.phi = std::clamp(static_cast<double>(k) / nd + s, 0.0, 1.0);
-    ApproxQuantileResult r_hi = ops.approx(inst, inner);
+    ApproxQuantileResult r_hi = approx_quantile_keys(ex, inst, inner);
 
     for (std::uint32_t v = 0; v < n; ++v) {
       if (!r_lo.valid[v]) r_lo.outputs[v] = Key::infinite();
       if (!r_hi.valid[v]) r_hi.outputs[v] = Key::neg_infinite();
     }
-    const SpreadResult s_lo = ops.spread_min_keys(r_lo.outputs);
-    const SpreadResult s_hi = ops.spread_max_keys(r_hi.outputs);
+    const SpreadResult s_lo = spread_min(ex, r_lo.outputs);
+    const SpreadResult s_hi = spread_max(ex, r_hi.outputs);
     const Key lo = s_lo.values.front();
     const Key hi = s_hi.values.front();
     // A bracket can degenerate when an inner run misses its w.h.p. window
@@ -296,7 +245,7 @@ PipelineOutcome run_pipeline(Ops& ops, std::span<const Key> keys,
       if (params.strategy == ExactStrategy::kPreferDuplication) {
         continue;  // re-bracket with fresh randomness
       }
-      return selection_endgame(ops, inst, k, params, out.iterations);
+      return selection_endgame(ex, inst, k, params, out.iterations);
     }
 
     // Step 5: exact counts — A = rank(lo), B = rank(hi), F = #valued — in
@@ -307,7 +256,7 @@ PipelineOutcome run_pipeline(Ops& ops, std::span<const Key> keys,
       ind_b[v] = inst[v] <= hi;
       ind_c[v] = inst[v].is_finite();
     }
-    const TripleCountResult cnt = ops.count3(ind_a, ind_b, ind_c);
+    const TripleCountResult cnt = gossip_count3(ex, ind_a, ind_b, ind_c);
     const std::uint64_t rank_lo = cnt.a.front();
     const std::uint64_t rank_hi = cnt.b.front();
     const std::uint64_t finite_cnt = cnt.c.front();
@@ -333,7 +282,7 @@ PipelineOutcome run_pipeline(Ops& ops, std::span<const Key> keys,
       if (params.strategy == ExactStrategy::kPreferDuplication) {
         continue;  // re-bracket with fresh randomness
       }
-      return selection_endgame(ops, inst, k, params, out.iterations);
+      return selection_endgame(ex, inst, k, params, out.iterations);
     }
 
     // Step 6: discard values outside [lo, hi].
@@ -350,7 +299,7 @@ PipelineOutcome run_pipeline(Ops& ops, std::span<const Key> keys,
     if (survivors == 0) {
       throw ExactPipelineError(ExactPipelineError::Kind::kBracketingEmptied,
                                "bracketing removed every candidate",
-                               abort_context(ops, "bracketing"));
+                               abort_context(ex, "bracketing"));
     }
     if (block >= k) continue;  // finish via the min-broadcast fast path
 
@@ -385,8 +334,8 @@ PipelineOutcome run_pipeline(Ops& ops, std::span<const Key> keys,
           // selection phases; both finish, this only picks the cheaper.
           // The duplication route terminates when the block reaches either
           // block_target or k itself (the min-broadcast fast path).
-          const CostModel cost =
-              CostModel::build(n, ops.exact_count_rounds(), s);
+          const CostModel cost = CostModel::build(
+              n, push_sum_rounds_for_exact(n, ex.failures()), s);
           const double goal = static_cast<double>(
               std::min<std::uint64_t>(block_target, k));
           const double dup_iters = std::max(
@@ -404,12 +353,12 @@ PipelineOutcome run_pipeline(Ops& ops, std::span<const Key> keys,
       }
     }
     if (go_endgame) {
-      return selection_endgame(ops, inst, k, params, out.iterations);
+      return selection_endgame(ex, inst, k, params, out.iterations);
     }
     if (m >= 2) {
       GQ_SPAN("exact/token_split");
-      const TokenSplitResult ts = ops.token_split(
-          inst, m, static_cast<std::uint64_t>(out.iterations) << 32);
+      const TokenSplitResult ts = token_split_distribute(
+          ex, inst, m, static_cast<std::uint64_t>(out.iterations) << 32);
       inst = ts.instance;
       k *= m;
       block *= m;
@@ -420,10 +369,11 @@ PipelineOutcome run_pipeline(Ops& ops, std::span<const Key> keys,
 
 // The full entry point: pipeline, verification against the original input,
 // and the w.h.p.-never retry loop.
-template <typename Ops>
+template <typename Executor>
 ExactQuantileResult exact_quantile_keys_impl(
-    Ops& ops, std::span<const Key> keys, const ExactQuantileParams& params) {
-  const std::uint32_t n = ops.size();
+    Executor& ex, std::span<const Key> keys,
+    const ExactQuantileParams& params) {
+  const std::uint32_t n = ex.size();
   GQ_REQUIRE(keys.size() == n, "one key per node required");
   GQ_REQUIRE(params.phi >= 0.0 && params.phi <= 1.0, "phi must lie in [0,1]");
 
@@ -431,11 +381,11 @@ ExactQuantileResult exact_quantile_keys_impl(
   const auto nd = static_cast<double>(n);
   const std::uint64_t k0 = std::clamp<std::uint64_t>(
       static_cast<std::uint64_t>(std::ceil(params.phi * nd)), 1, n);
-  const Metrics before = ops.metrics();
+  const Metrics before = ex.metrics();
 
   constexpr int kMaxAttempts = 3;
   for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-    const PipelineOutcome pipe = run_pipeline(ops, keys, params);
+    const PipelineOutcome pipe = run_pipeline(ex, keys, params);
 
     // Verification: the answer's rank among the ORIGINAL keys must be
     // exactly k0.  The probe's maximal tag matches every duplication copy
@@ -445,7 +395,7 @@ ExactQuantileResult exact_quantile_keys_impl(
                     std::numeric_limits<std::uint64_t>::max()};
     std::vector<bool> indicator(n);
     for (std::uint32_t v = 0; v < n; ++v) indicator[v] = keys[v] <= probe;
-    const std::uint64_t measured = ops.count(indicator).counts.front();
+    const std::uint64_t measured = gossip_count(ex, indicator).counts.front();
     if (measured != k0) continue;  // retry with fresh randomness
 
     ExactQuantileResult out;
@@ -454,13 +404,13 @@ ExactQuantileResult exact_quantile_keys_impl(
     out.valid = pipe.valid;
     out.iterations = pipe.iterations;
     out.endgame_phases = pipe.endgame_phases;
-    out.rounds = ops.metrics().rounds - before.rounds;
+    out.rounds = ex.metrics().rounds - before.rounds;
     return out;
   }
   throw ExactPipelineError(
       ExactPipelineError::Kind::kVerificationFailed,
       "exact_quantile failed verification after repeated attempts",
-      abort_context(ops, "verification"));
+      abort_context(ex, "verification"));
 }
 
 }  // namespace gq::exact_detail

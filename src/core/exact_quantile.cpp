@@ -8,8 +8,7 @@ namespace gq {
 ExactQuantileResult exact_quantile_keys(Network& net,
                                         std::span<const Key> keys,
                                         const ExactQuantileParams& params) {
-  exact_detail::ExactOps<Network> ops{net};
-  return exact_detail::exact_quantile_keys_impl(ops, keys, params);
+  return exact_detail::exact_quantile_keys_impl(net, keys, params);
 }
 
 ExactQuantileResult exact_quantile(Network& net,

@@ -1,21 +1,16 @@
 #include "engine/engine.hpp"
 
-#include "sim/key.hpp"
-
 namespace gq {
 
 Engine::Engine(std::uint32_t n, std::uint64_t seed, FailureModel failures,
                EngineConfig config)
-    : n_(n),
-      seed_(seed),
-      failures_(std::move(failures)),
+    : RoundCore(n, seed, std::move(failures)),
       config_(config),
       num_shards_((config.shard_size == 0
                        ? 1
                        : (static_cast<std::size_t>(n) + config.shard_size - 1) /
                              config.shard_size)),
       pool_(config.threads, config.pin_workers) {
-  GQ_REQUIRE(n >= 2, "a gossip network needs at least two nodes");
   GQ_REQUIRE(config.shard_size > 0, "shard size must be positive");
   shard_scratch_.resize(num_shards_);
 }
@@ -45,10 +40,6 @@ std::vector<std::uint32_t> Engine::pull_round(std::uint64_t bits_per_message) {
   std::vector<std::uint32_t> peers(n_, kNoPeer);
   pull_round(bits_per_message, peers);
   return peers;
-}
-
-std::uint64_t Engine::default_message_bits() const noexcept {
-  return gq::default_message_bits(n_);
 }
 
 }  // namespace gq

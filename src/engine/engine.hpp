@@ -32,11 +32,14 @@
 //
 // ## API shape
 //
-// Engine mirrors Network's primitives (begin_round / node_stream /
-// node_fails / sample_peer / metrics) so protocol code ports mechanically,
-// and adds the batched whole-round kernels pull_round / push_round that
-// fill a caller-provided contiguous peer array in parallel — no virtual
-// dispatch, no per-node allocation in the hot loop.
+// Engine shares the round model's control plane with the sequential
+// Network through sim/round_core.hpp (begin_round / node_stream /
+// node_fails / op_fails / sample_peer / set_adversary / reset_stream /
+// metrics), so protocol code ports mechanically and the two executors read
+// faults and rebase streams through one definition.  On top of it Engine
+// adds the sharded execution layer: parallel_shards, and the batched
+// pull_round that fills a caller-provided contiguous peer array in
+// parallel — no virtual dispatch, no per-node allocation in the hot loop.
 #pragma once
 
 #include <cstdint>
@@ -51,44 +54,16 @@
 #include "engine/thread_pool.hpp"
 #include "sim/failure_model.hpp"
 #include "sim/metrics.hpp"
-#include "sim/network.hpp"
-#include "sim/streams.hpp"
+#include "sim/round_core.hpp"
 #include "util/require.hpp"
-#include "util/rng.hpp"
 
 namespace gq {
 
-class Engine {
+class Engine : public RoundCore {
  public:
-  // Same sentinel as the sequential path: "operation failed this round".
-  static constexpr std::uint32_t kNoPeer = Network::kNoPeer;
-
   Engine(std::uint32_t n, std::uint64_t seed,
          FailureModel failures = FailureModel{},
          EngineConfig config = EngineConfig{});
-
-  [[nodiscard]] std::uint32_t size() const noexcept { return n_; }
-  [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
-  [[nodiscard]] std::uint64_t round() const noexcept { return round_; }
-  [[nodiscard]] const Metrics& metrics() const noexcept { return metrics_; }
-  [[nodiscard]] const FailureModel& failures() const noexcept {
-    return failures_;
-  }
-
-  // ---- adversarial fault injection -------------------------------------
-  // Mirrors Network::set_adversary exactly (see sim/network.hpp for the
-  // contract): the strategy is borrowed and bound to (seed, n); the failure
-  // model is the constructor's and is never touched here.
-  void set_adversary(AdversaryStrategy* adversary) {
-    adversary_ = adversary;
-    if (adversary_ != nullptr) adversary_->bind(seed_, n_);
-  }
-  [[nodiscard]] AdversaryStrategy* adversary() const noexcept {
-    return adversary_;
-  }
-  [[nodiscard]] bool faultless() const noexcept {
-    return failures_.never_fails() && adversary_ == nullptr;
-  }
 
   [[nodiscard]] const EngineConfig& config() const noexcept { return config_; }
   [[nodiscard]] unsigned threads() const noexcept { return pool_.threads(); }
@@ -120,62 +95,6 @@ class Engine {
   // representation; see engine/kernels.hpp).  Kept so callers that report
   // the gathered entry size need no special case.
   [[nodiscard]] std::uint32_t intern_min_nodes() const noexcept { return 0; }
-
-  // ---- sequential-compatible primitives --------------------------------
-
-  // Starts the next synchronous round and returns its index.
-  std::uint64_t begin_round() noexcept {
-    ++round_;
-    ++metrics_.rounds;
-    return round_;
-  }
-
-  // Independent random stream for node v in the current round; identical
-  // to Network::node_stream for the same (seed, round, v).
-  [[nodiscard]] SplitMix64 node_stream(std::uint32_t v) const noexcept {
-    return streams::node_stream(seed_, round_, v);
-  }
-
-  // With an adversary installed, kDrop/kDelay/kCrash faults read as failed
-  // operations here, exactly as on Network (see sim/network.hpp).
-  [[nodiscard]] bool node_fails(std::uint32_t v) const {
-    return op_fails(v, round_);
-  }
-
-  // Explicit-round variant for fused multi-round kernels that advance the
-  // round counter before running their node loops.
-  [[nodiscard]] bool op_fails(std::uint32_t v, std::uint64_t round) const {
-    if (streams::node_fails(seed_, round, v, failures_)) return true;
-    if (adversary_ == nullptr) return false;
-    const Fault f = adversary_->fault(v, round);
-    return f.kind == FaultKind::kDrop || f.kind == FaultKind::kDelay ||
-           f.kind == FaultKind::kCrash;
-  }
-
-  [[nodiscard]] std::uint32_t sample_peer(std::uint32_t v,
-                                          SplitMix64& stream) const noexcept {
-    return streams::sample_peer(v, n_, stream);
-  }
-
-  // Theta(log n)-bit default message budget, as Network::default_message_bits.
-  [[nodiscard]] std::uint64_t default_message_bits() const noexcept;
-
-  // Session reuse hook for long-lived callers (src/service/): rebases the
-  // deterministic randomness onto a fresh (seed, round = 0) stream.  Because
-  // every draw is a pure function of (seed, round, node), a warm engine
-  // re-runs any pipeline after reset_stream(s) **bit-identically** to a cold
-  // Engine(n, s) — while the thread pool, scatter arena, and pooled scratch
-  // (all observationally neutral) stay warm, which is the point of keeping
-  // the engine alive between queries.  Metrics keep accumulating across
-  // resets (service-lifetime accounting); callers wanting per-query deltas
-  // snapshot metrics() around the call.
-  void reset_stream(std::uint64_t seed) {
-    seed_ = seed;
-    round_ = 0;
-    // Re-bind so strategy randomness rebases with the stream (bind may
-    // allocate, hence no noexcept).
-    if (adversary_ != nullptr) adversary_->bind(seed_, n_);
-  }
 
   // ---- sharded execution -----------------------------------------------
 
@@ -255,26 +174,8 @@ class Engine {
   [[nodiscard]] std::vector<std::uint32_t> pull_round(
       std::uint64_t bits_per_message);
 
-  // One synchronous round in which every node attempts a single push; the
-  // sampler is identical to pull_round (the distinction is which side
-  // supplies the message — a protocol concern, not a sampling one).
-  void push_round(std::uint64_t bits_per_message,
-                  std::span<std::uint32_t> peers_out) {
-    pull_round(bits_per_message, peers_out);
-  }
-  [[nodiscard]] std::vector<std::uint32_t> push_round(
-      std::uint64_t bits_per_message) {
-    return pull_round(bits_per_message);
-  }
-
  private:
-  std::uint32_t n_;
-  std::uint64_t seed_;
-  FailureModel failures_;
-  AdversaryStrategy* adversary_ = nullptr;  // borrowed; see set_adversary
   EngineConfig config_;
-  std::uint64_t round_ = 0;
-  Metrics metrics_;
   std::size_t num_shards_;
   ThreadPool pool_;
   std::vector<Metrics> shard_scratch_;  // one accumulator per shard

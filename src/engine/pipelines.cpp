@@ -604,8 +604,8 @@ namespace {
 // core/multi_pipeline.hpp; the sequential twin lives in
 // core/multi_quantile.cpp.  Thin forwarders to the multi-lane kernels in
 // engine/kernels.cpp, plus the single-target approx pipeline for the
-// deduped fallback route.  The single-target approx pipeline in turn runs
-// its failure-free tournament through these ops with one lane.
+// deduped fallback route.  failure_free_tournament below runs the
+// single-target pipeline's tournament through these ops with one lane.
 struct EngineMultiOps {
   Engine& engine;
 
@@ -630,58 +630,28 @@ struct EngineMultiOps {
   }
 };
 
-// The engine instantiation of the shared approximate-pipeline control flow
-// in core/approx_pipeline.hpp; the sequential twin lives in
-// core/approx_quantile.cpp.
-struct EngineApproxOps {
-  Engine& engine;
-
-  [[nodiscard]] std::uint32_t size() const { return engine.size(); }
-  [[nodiscard]] const Metrics& metrics() const { return engine.metrics(); }
-  [[nodiscard]] bool faultless() const { return engine.faultless(); }
-
-  ExactQuantileResult exact(std::span<const Key> keys,
-                            const ExactQuantileParams& params) {
-    return exact_quantile_keys(engine, keys, params);
-  }
-  approx_detail::TournamentRun tournament(
-      std::span<const Key> keys, const ApproxQuantileParams& params,
-      double phase2_eps) {
-    const multi_detail::MultiLaneSpec lane = multi_detail::lane_spec(
-        params.phi, params.eps, params.truncate_last);
-    EngineMultiOps multi{engine};
-    multi_detail::SharedRun run =
-        multi_detail::run_shared_schedule<approx_detail::ApproxPhaseSpans>(
-            multi, keys, {&lane, 1}, phase2_eps, params.final_sample_size);
-    return {lane.schedule.iterations(), run.phase2_iterations,
-            std::move(run.outputs.front())};
-  }
-  RobustTwoTournamentOutcome robust_two(std::vector<Key>& state,
-                                        std::vector<bool>& good, double phi,
-                                        double eps, bool truncate_last) {
-    return robust_two_tournament(engine, state, good, phi, eps,
-                                 truncate_last);
-  }
-  RobustThreeTournamentOutcome robust_three(std::vector<Key>& state,
-                                            std::vector<bool>& good,
-                                            double eps,
-                                            std::uint32_t final_sample_size) {
-    return robust_three_tournament(engine, state, good, eps,
-                                   final_sample_size);
-  }
-  std::uint64_t coverage(std::vector<Key>& outputs, std::vector<bool>& valid,
-                         std::uint32_t t) {
-    return robust_coverage(engine, outputs, valid, t);
-  }
-};
-
 }  // namespace
+
+// The Engine's failure-free tournament: Phase 1, Phase 2 and the final
+// sample on the shared-schedule q-lane kernels with one lane.  The
+// reference overload lives in core/approx_quantile.cpp.
+approx_detail::TournamentRun approx_detail::failure_free_tournament(
+    Engine& engine, std::span<const Key> keys,
+    const ApproxQuantileParams& params, double phase2_eps) {
+  const multi_detail::MultiLaneSpec lane =
+      multi_detail::lane_spec(params.phi, params.eps, params.truncate_last);
+  EngineMultiOps multi{engine};
+  multi_detail::SharedRun run =
+      multi_detail::run_shared_schedule<ApproxPhaseSpans>(
+          multi, keys, {&lane, 1}, phase2_eps, params.final_sample_size);
+  return {lane.schedule.iterations(), run.phase2_iterations,
+          std::move(run.outputs.front())};
+}
 
 ApproxQuantileResult approx_quantile_keys(Engine& engine,
                                           std::span<const Key> keys,
                                           const ApproxQuantileParams& params) {
-  EngineApproxOps ops{engine};
-  return approx_detail::approx_quantile_keys_impl(ops, keys, params);
+  return approx_detail::approx_quantile_keys_impl(engine, keys, params);
 }
 
 MultiQuantileResult multi_quantile_keys(Engine& engine,
@@ -708,8 +678,7 @@ ApproxQuantileResult approx_quantile(Engine& engine,
 ExactQuantileResult exact_quantile_keys(Engine& engine,
                                         std::span<const Key> keys,
                                         const ExactQuantileParams& params) {
-  exact_detail::ExactOps<Engine> ops{engine};
-  return exact_detail::exact_quantile_keys_impl(ops, keys, params);
+  return exact_detail::exact_quantile_keys_impl(engine, keys, params);
 }
 
 ExactQuantileResult exact_quantile(Engine& engine,

@@ -218,6 +218,14 @@ QueryReply QuantileService::run_resilient(const QueryRequest& request,
   GQ_REQUIRE(
       request.kind != QueryKind::kMultiQuantile || !request.phis.empty(),
       "kMultiQuantile needs at least one target");
+  GQ_REQUIRE(request.kind != QueryKind::kMultiQuantile ||
+                 std::all_of(request.phis.begin(), request.phis.end(),
+                             [](double phi) {
+                               return phi >= 0.0 && phi <= 1.0;
+                             }),
+             "kMultiQuantile targets must lie in [0,1]");
+  GQ_REQUIRE(request.eps == 0.0 || (request.eps > 0.0 && request.eps < 0.5),
+             "eps override must be 0 (default) or lie in (0, 1/2)");
   GQ_REQUIRE(request.kind != QueryKind::kRank || std::isfinite(request.value),
              "kRank probe value must be finite");
   GQ_REQUIRE(request.kind != QueryKind::kCdf ||

@@ -35,10 +35,11 @@ struct QueryRequest {
 
   double value = 0.0;              // kRank: the probe point
   std::vector<double> cdf_points;  // kCdf: the probe points
-  std::vector<double> phis;        // kMultiQuantile: the targets
+  std::vector<double> phis;        // kMultiQuantile: targets in [0,1]
 
   // Per-request overrides of the service-config pipeline defaults;
-  // 0 keeps the default.
+  // 0 keeps the default.  Any other eps must lie in (0, 1/2).  Requests
+  // outside these ranges throw std::invalid_argument before any attempt.
   double eps = 0.0;
 
   // Engine stream seed for this query.  0 (default) auto-derives a fresh

@@ -101,8 +101,8 @@ class AdversaryStrategy {
   [[nodiscard]] virtual std::uint64_t budget_per_round() const noexcept = 0;
 
   // Called by the executor when the adversary is installed (and again on
-  // Engine::reset_stream).  Strategies derive all their randomness from this
-  // seed so transcripts are reproducible.
+  // every reset_stream; see sim/round_core.hpp).  Strategies derive all
+  // their randomness from this seed so transcripts are reproducible.
   virtual void bind(std::uint64_t seed, std::uint32_t n) {
     seed_ = seed;
     n_ = n;

@@ -1,7 +1,5 @@
 #include "sim/network.hpp"
 
-#include "sim/key.hpp"
-
 namespace gq {
 
 std::vector<std::uint32_t> Network::pull_round(std::uint64_t bits_per_message) {
@@ -17,10 +15,6 @@ std::vector<std::uint32_t> Network::pull_round(std::uint64_t bits_per_message) {
     record_message(bits_per_message);
   }
   return peers;
-}
-
-std::uint64_t Network::default_message_bits() const noexcept {
-  return gq::default_message_bits(n_);
 }
 
 }  // namespace gq

@@ -464,6 +464,62 @@ TEST(Service, RejectsNonFiniteIngestAndProbes) {
   EXPECT_EQ(service.query(rank).count, truth);
 }
 
+// A malformed request is a caller bug, not a gossip fault: it must throw
+// before the supervisor sees it, so it burns no retries, never counts
+// against a circuit breaker, and the next valid query is served in full.
+// (Out-of-range multi targets used to run their attempt budget and trip
+// the kMultiQuantile breaker; out-of-range eps overrides were silently
+// clamped or ignored.)
+TEST(Service, RejectsMalformedRequestsBeforeSupervision) {
+  constexpr std::uint32_t kNodes = 256;
+  QuantileService service(kNodes);
+  ingest_fixture(service, kNodes, 4, 23);
+
+  QueryRequest multi;
+  multi.kind = QueryKind::kMultiQuantile;
+  multi.phis = {0.5, 1.5};
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_THROW((void)service.query(multi), std::invalid_argument);
+  }
+  multi.phis = {0.5, std::numeric_limits<double>::quiet_NaN()};
+  EXPECT_THROW((void)service.query(multi), std::invalid_argument);
+
+  for (const double bad_eps : {0.7, 0.5, -0.1,
+                               std::numeric_limits<double>::quiet_NaN()}) {
+    QueryRequest quantile;
+    quantile.kind = QueryKind::kQuantile;
+    quantile.eps = bad_eps;
+    EXPECT_THROW((void)service.query(quantile), std::invalid_argument);
+    QueryRequest targets;
+    targets.kind = QueryKind::kMultiQuantile;
+    targets.phis = {0.25, 0.75};
+    targets.eps = bad_eps;
+    EXPECT_THROW((void)service.query(targets), std::invalid_argument);
+  }
+
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.retry_attempts, 0u);
+  EXPECT_EQ(stats.breaker_opens, 0u);
+  EXPECT_EQ(stats.degraded_answers, 0u);
+  EXPECT_EQ(service.breaker_state(QueryKind::kMultiQuantile),
+            QuantileService::BreakerState::kClosed);
+  EXPECT_EQ(service.breaker_state(QueryKind::kQuantile),
+            QuantileService::BreakerState::kClosed);
+
+  multi.phis = {0.5, 0.9};
+  const QueryReply reply = service.query(multi);
+  EXPECT_EQ(reply.quality, AnswerQuality::kFull);
+  EXPECT_EQ(reply.attempts, 1u);
+  EXPECT_EQ(reply.multi_values.size(), 2u);
+
+  QueryRequest quantile;
+  quantile.kind = QueryKind::kQuantile;
+  quantile.eps = 0.2;
+  const QueryReply single = service.query(quantile);
+  EXPECT_EQ(single.quality, AnswerQuality::kFull);
+  EXPECT_EQ(single.attempts, 1u);
+}
+
 // ---- interner session: incremental extend == full re-intern ---------------
 
 TEST(KeyInterner, ExtendMatchesFullIntern) {
