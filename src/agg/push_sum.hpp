@@ -14,12 +14,16 @@
 // FailureModel with no protocol change.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <concepts>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "sim/network.hpp"
+#include "sim/round_core.hpp"
+#include "util/require.hpp"
 
 namespace gq {
 
@@ -29,20 +33,12 @@ struct PushSumResult {
 };
 
 // Number of rounds after which every node's estimate has relative error
-// below roughly n^-3 w.h.p. in the failure-free model; scaled by 1/(1-mu)
-// under failures.  Used as the default by the helpers below.  The
-// (n, failures) overloads are the pure round-schedule logic shared with the
-// parallel engine's batched counting kernels — both executors must derive
-// identical schedules or their Metrics drift apart.
+// below roughly n^-3 w.h.p. in the failure-free model, enough for exact
+// counting; scaled by 1/(1-mu) under failures.  The one push-sum schedule:
+// every helper below defaults to it, and both executors derive it from
+// (ex.size(), ex.failures()), so their Metrics cannot drift apart.
 [[nodiscard]] std::uint64_t push_sum_rounds_for_exact(
     std::uint32_t n, const FailureModel& failures);
-[[nodiscard]] std::uint64_t push_sum_rounds_for_exact(const Network& net);
-
-// Shorter default for applications that only need a constant-factor
-// approximation of an average.
-[[nodiscard]] std::uint64_t push_sum_rounds_default(
-    std::uint32_t n, const FailureModel& failures);
-[[nodiscard]] std::uint64_t push_sum_rounds_default(const Network& net);
 
 // A push-sum message carries the value masses plus one weight word; the
 // D-dimensional protocol sends D+1 reals.  Shared with the engine kernels.
@@ -50,18 +46,6 @@ struct PushSumResult {
     std::size_t dims) noexcept {
   return 64 * (dims + 1);
 }
-
-// Runs push-sum for `rounds` rounds (0 = push_sum_rounds_default) and
-// returns every node's estimate of avg(x).  x.size() must equal net.size().
-[[nodiscard]] PushSumResult push_sum_average(Network& net,
-                                             std::span<const double> x,
-                                             std::uint64_t rounds = 0);
-
-// Estimates sum(x) at every node: push_sum_average scaled by n (node count
-// is global knowledge in the model).
-[[nodiscard]] PushSumResult push_sum_sum(Network& net,
-                                         std::span<const double> x,
-                                         std::uint64_t rounds = 0);
 
 // D-dimensional push-sum: averages D per-node vectors in a single protocol
 // run with a shared weight coordinate (messages carry D+1 reals, still O(1)
@@ -73,13 +57,16 @@ struct MultiPushSumResult {
   std::uint64_t rounds = 0;
 };
 
+// The push-sum kernel, one per executor: this is the sequential reference;
+// the Engine's batched overload (engine/pipelines.hpp) is bit-identical.
+// Runs `rounds` rounds (0 = push_sum_rounds_for_exact).
 template <std::size_t D>
 MultiPushSumResult<D> push_sum_average_multi(
     Network& net, std::span<const std::array<double, D>> x,
     std::uint64_t rounds = 0) {
   const std::uint32_t n = net.size();
   GQ_REQUIRE(x.size() == n, "one input vector per node required");
-  if (rounds == 0) rounds = push_sum_rounds_default(net);
+  if (rounds == 0) rounds = push_sum_rounds_for_exact(n, net.failures());
   const std::uint64_t bits = push_sum_message_bits(D);
 
   std::vector<std::array<double, D>> s(x.begin(), x.end());
@@ -111,9 +98,41 @@ MultiPushSumResult<D> push_sum_average_multi(
   out.rounds = rounds;
   out.estimates.resize(n);
   for (std::uint32_t v = 0; v < n; ++v) {
+    // w_v > 0 always: a node keeps at least half of its own weight each
+    // round, so w_v >= 2^-rounds > 0.
     for (std::size_t j = 0; j < D; ++j) out.estimates[v][j] = s[v][j] / w[v];
   }
   return out;
+}
+
+// Runs push-sum for `rounds` rounds (0 = push_sum_rounds_for_exact) and
+// returns every node's estimate of avg(x).  x.size() must equal ex.size().
+// The 1-D case of push_sum_average_multi on either executor.
+template <std::derived_from<RoundCore> Ex>
+[[nodiscard]] PushSumResult push_sum_average(Ex& ex,
+                                             std::span<const double> x,
+                                             std::uint64_t rounds = 0) {
+  std::vector<std::array<double, 1>> x1(x.size());
+  for (std::size_t v = 0; v < x.size(); ++v) x1[v][0] = x[v];
+  const MultiPushSumResult<1> avg = push_sum_average_multi<1>(
+      ex, std::span<const std::array<double, 1>>(x1), rounds);
+  PushSumResult out;
+  out.rounds = avg.rounds;
+  out.estimates.resize(avg.estimates.size());
+  for (std::size_t v = 0; v < out.estimates.size(); ++v) {
+    out.estimates[v] = avg.estimates[v][0];
+  }
+  return out;
+}
+
+// Estimates sum(x) at every node: push_sum_average scaled by n (node count
+// is global knowledge in the model).
+template <std::derived_from<RoundCore> Ex>
+[[nodiscard]] PushSumResult push_sum_sum(Ex& ex, std::span<const double> x,
+                                         std::uint64_t rounds = 0) {
+  PushSumResult res = push_sum_average(ex, x, rounds);
+  for (auto& e : res.estimates) e *= static_cast<double>(ex.size());
+  return res;
 }
 
 }  // namespace gq

@@ -2,20 +2,8 @@
 
 #include <bit>
 #include <cmath>
-#include <functional>
 
 namespace gq {
-namespace {
-
-SpreadResult to_key_result(GenericSpreadResult<Key>&& g) {
-  SpreadResult out;
-  out.values = std::move(g.values);
-  out.rounds = g.rounds;
-  out.converged = g.converged;
-  return out;
-}
-
-}  // namespace
 
 std::uint64_t spread_rounds_cap(std::uint32_t n,
                                 const FailureModel& failures) {
@@ -26,24 +14,6 @@ std::uint64_t spread_rounds_cap(std::uint32_t n,
   if (mu <= 0.0) return base;
   return static_cast<std::uint64_t>(
       std::ceil(static_cast<double>(base) / (1.0 - mu)));
-}
-
-std::uint64_t spread_rounds_cap(const Network& net) {
-  return spread_rounds_cap(net.size(), net.failures());
-}
-
-SpreadResult spread_max(Network& net, std::span<const Key> init,
-                        std::uint64_t max_rounds) {
-  return to_key_result(
-      spread_best(net, init, std::less<Key>{}, key_bits(net.size()),
-                  max_rounds));
-}
-
-SpreadResult spread_min(Network& net, std::span<const Key> init,
-                        std::uint64_t max_rounds) {
-  return to_key_result(
-      spread_best(net, init, std::greater<Key>{}, key_bits(net.size()),
-                  max_rounds));
 }
 
 }  // namespace gq

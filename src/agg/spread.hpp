@@ -13,22 +13,24 @@
 #pragma once
 
 #include <algorithm>
+#include <concepts>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
 #include "sim/key.hpp"
 #include "sim/network.hpp"
+#include "sim/round_core.hpp"
 #include "util/require.hpp"
 
 namespace gq {
 
 // Default cap on spreading rounds: generous multiple of log2 n, scaled for
-// failures.  The (n, failures) overload is the pure schedule shared with
-// the parallel engine's batched spread kernels.
+// failures.  The pure schedule both executors' spread kernels derive from
+// (ex.size(), ex.failures()).
 [[nodiscard]] std::uint64_t spread_rounds_cap(std::uint32_t n,
                                               const FailureModel& failures);
-[[nodiscard]] std::uint64_t spread_rounds_cap(const Network& net);
 
 template <typename T>
 struct GenericSpreadResult {
@@ -39,14 +41,16 @@ struct GenericSpreadResult {
 
 // Spreads the extreme payload under strict weak order `less`: every node
 // converges to the maximum element w.h.p.  `bits_per_message` is the
-// accounted size of one payload.
+// accounted size of one payload.  The spread kernel, one per executor: this
+// is the sequential reference; the Engine's batched overload
+// (engine/pipelines.hpp) is bit-identical.
 template <typename T, typename Less>
 GenericSpreadResult<T> spread_best(Network& net, std::span<const T> init,
                                    Less less, std::uint64_t bits_per_message,
                                    std::uint64_t max_rounds = 0) {
   const std::uint32_t n = net.size();
   GQ_REQUIRE(init.size() == n, "one payload per node required");
-  if (max_rounds == 0) max_rounds = spread_rounds_cap(net);
+  if (max_rounds == 0) max_rounds = spread_rounds_cap(n, net.failures());
 
   std::vector<T> cur(init.begin(), init.end());
   const T target = *std::max_element(cur.begin(), cur.end(), less);
@@ -77,18 +81,22 @@ GenericSpreadResult<T> spread_best(Network& net, std::span<const T> init,
   return out;
 }
 
-struct SpreadResult {
-  std::vector<Key> values;   // per-node final key
-  std::uint64_t rounds = 0;  // rounds consumed
-  bool converged = false;    // all nodes hold the global extreme
-};
+using SpreadResult = GenericSpreadResult<Key>;
 
 // Max-spreading: every node ends up with max(init) w.h.p.
-[[nodiscard]] SpreadResult spread_max(Network& net, std::span<const Key> init,
-                                      std::uint64_t max_rounds = 0);
+template <std::derived_from<RoundCore> Ex>
+[[nodiscard]] SpreadResult spread_max(Ex& ex, std::span<const Key> init,
+                                      std::uint64_t max_rounds = 0) {
+  return spread_best(ex, init, std::less<Key>{}, key_bits(ex.size()),
+                     max_rounds);
+}
 
 // Min-spreading: every node ends up with min(init) w.h.p.
-[[nodiscard]] SpreadResult spread_min(Network& net, std::span<const Key> init,
-                                      std::uint64_t max_rounds = 0);
+template <std::derived_from<RoundCore> Ex>
+[[nodiscard]] SpreadResult spread_min(Ex& ex, std::span<const Key> init,
+                                      std::uint64_t max_rounds = 0) {
+  return spread_best(ex, init, std::greater<Key>{}, key_bits(ex.size()),
+                     max_rounds);
+}
 
 }  // namespace gq

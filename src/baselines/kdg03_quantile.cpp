@@ -30,7 +30,8 @@ Kdg03Result kdg03_exact_quantile_keys(Network& net, std::span<const Key> keys,
     for (std::uint32_t v = 0; v < n; ++v) {
       candidate[v] = lo < keys[v] && keys[v] < hi;
     }
-    const PivotSample pv = sample_uniform_candidate(net, keys, candidate);
+    const PivotSample pv =
+        sample_uniform_candidate(net, keys, candidate, params.max_phases);
     if (!pv.found) {
       throw std::runtime_error("kdg03: no candidates left without a hit");
     }

@@ -16,7 +16,9 @@ namespace gq {
 
 struct Kdg03Params {
   double phi = 0.5;
-  std::uint32_t max_phases = 512;  // safety cap; ~log n phases expected
+  // Safety cap; ~log n phases expected.  Also caps one phase's pivot
+  // priority draws (core/pivot.hpp).
+  std::uint32_t max_phases = 512;
 };
 
 struct Kdg03Result {

@@ -8,23 +8,22 @@
 // for Engine).  Bit-identity of the two paths then reduces to bit-identity
 // of each primitive, which tests/test_engine.cpp pins kernel by kernel.
 //
-// An executor `ex` must provide the RoundCore accessors (size, seed, round,
-// metrics, failures) and these overloads:
+// An executor `ex` must derive from RoundCore (size, seed, round, metrics,
+// failures, begin_round, node_stream, node_fails), provide
+// parallel_shards(fn), and provide these overloads:
 //   ApproxQuantileResult approx_quantile_keys(ex, span<const Key>,
 //                                             const ApproxQuantileParams&);
-//   SpreadResult spread_min(ex, span<const Key>);
-//   SpreadResult spread_max(ex, span<const Key>);
-//   CountResult  gossip_count(ex, const vector<bool>&);
-//   CountResult  gossip_rank(ex, span<const Key>, const Key&);
-//   TripleCountResult gossip_count3(ex, const vector<bool>&,
-//                                   const vector<bool>&,
-//                                   const vector<bool>&);
-//   PivotSample  sample_uniform_candidate(ex, span<const Key>,
-//                                         const vector<bool>&);
+//   GenericSpreadResult<T> spread_best(ex, span<const T>, Less,
+//                                      uint64_t bits, uint64_t max_rounds);
+//   MultiPushSumResult<D> push_sum_average_multi<D>(
+//       ex, span<const array<double, D>>, uint64_t rounds);   // D = 1, 3
 //   TokenSplitResult token_split_distribute(ex, span<const Key>,
 //                                           uint64_t m, uint64_t tag);
-// (Network's live in agg/, core/pivot, core/token_split and
-// core/approx_quantile; Engine's in engine/pipelines.hpp.)
+// (Network's live in agg/, core/token_split and core/approx_quantile;
+// Engine's in engine/pipelines.hpp.)  The collectives the pipeline calls —
+// spread_min/spread_max, gossip_count/gossip_rank/gossip_count3 and
+// sample_uniform_candidate — are written once over the executor on top of
+// those kernels (agg/spread.hpp, agg/rank_count.hpp, core/pivot.hpp).
 #pragma once
 
 #include <algorithm>
@@ -109,11 +108,15 @@ PipelineOutcome selection_endgame(Executor& ex, std::vector<Key>& inst,
       candidate[v] =
           inst[v].is_finite() && lo_e < inst[v] && inst[v] < hi_e;
     }
-    const PivotSample pv = sample_uniform_candidate(ex, inst, candidate);
+    // The exact counts prove the rank-k key lies strictly between lo_e and
+    // hi_e, so the candidate set is not empty; a draw that every candidate
+    // lost to faults is redrawn within the phase budget.
+    const PivotSample pv = sample_uniform_candidate(
+        ex, inst, candidate, params.max_endgame_phases);
     if (!pv.found) {
       throw ExactPipelineError(
           ExactPipelineError::Kind::kEndgameNoCandidates,
-          "selection endgame ran out of candidates (count inconsistency)",
+          "selection endgame drew no pivot (pivot spread did not converge)",
           abort_context(ex, "selection_endgame"));
     }
     ++out.endgame_phases;

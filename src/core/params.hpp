@@ -58,7 +58,8 @@ struct ExactQuantileParams {
   // approximation window, see DESIGN.md).
   std::uint32_t max_iterations = 64;
 
-  // Cap on selection-endgame phases (only reached for pathological inputs).
+  // Cap on selection-endgame phases (only reached for pathological inputs),
+  // and on the priority draws of one phase's pivot (core/pivot.hpp).
   std::uint32_t max_endgame_phases = 256;
 };
 

@@ -11,11 +11,11 @@
 
 namespace gq {
 
-// A run of the exact pipeline (Algorithm 3) aborted: under heavy failure
-// noise at small n the count-based machinery can mis-count — a pivot's
-// measured rank contradicts the bracketing state, the candidate set runs
-// dry, or the final verification disagrees — and the w.h.p. analysis no
-// longer applies.  This is thrown instead of returning a wrong answer.
+// A run of the exact pipeline (Algorithm 3) aborted: under heavy faults a
+// step misses its w.h.p. guarantee — a spread never reaches eclipsed
+// nodes, a count is wrong so bracketing empties, the endgame stalls, or the
+// final verification disagrees — and the analysis no longer applies.  This
+// is thrown instead of returning a wrong answer.
 //
 // The error is *recoverable*: the executor (Network or Engine) remains
 // fully usable — rounds already consumed stay billed in Metrics, and the
@@ -28,8 +28,9 @@ namespace gq {
 class ExactPipelineError : public std::runtime_error {
  public:
   enum class Kind {
-    // The selection endgame found no remaining candidate between its
-    // brackets: an exact count must have been wrong.
+    // The selection endgame drew no pivot: the pivot spread did not
+    // converge (e.g. eclipsed nodes never pull), or no candidate won any of
+    // max_endgame_phases priority draws.
     kEndgameNoCandidates,
     // The selection endgame exhausted max_endgame_phases without landing
     // on rank k.

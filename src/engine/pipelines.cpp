@@ -24,103 +24,9 @@
 namespace gq {
 namespace {
 
-// ---- generic extreme-spreading -------------------------------------------
-//
-// The batched twin of agg/spread.hpp's spread_best: same target (the global
-// best under `less`, found shard-wise in shard order), same per-round fold,
-// same convergence checks, so round counts and Metrics match the sequential
-// loop exactly.  The per-shard done flags are folded into the round kernel
-// so the omniscient all-agree check costs no extra parallel section.
-template <typename T, typename Less>
-GenericSpreadResult<T> engine_spread_best(Engine& engine,
-                                          std::span<const T> init, Less less,
-                                          std::uint64_t bits_per_message,
-                                          std::uint64_t max_rounds = 0) {
-  const std::uint32_t n = engine.size();
-  GQ_REQUIRE(init.size() == n, "one payload per node required");
-  if (max_rounds == 0) {
-    max_rounds = spread_rounds_cap(n, engine.failures());
-  }
-
-  std::vector<T> cur(init.begin(), init.end());
-  const std::size_t shards = engine.num_shards();
-
-  // The global best: per-shard first-maximum, combined in shard order —
-  // equivalent to std::max_element's first-maximum over the whole range.
-  std::vector<T> shard_best(shards);
-  engine.parallel_shards(
-      [&](std::uint32_t begin, std::uint32_t end, Metrics&) {
-        T best = cur[begin];
-        for (std::uint32_t v = begin + 1; v < end; ++v) {
-          if (less(best, cur[v])) best = cur[v];
-        }
-        shard_best[engine.shard_of(begin)] = best;
-      });
-  T target = shard_best[0];
-  for (std::size_t s = 1; s < shards; ++s) {
-    if (less(target, shard_best[s])) target = shard_best[s];
-  }
-
-  const auto equivalent = [&](const T& k) {
-    return !less(k, target) && !less(target, k);
-  };
-
-  GenericSpreadResult<T> out;
-  std::vector<T> next(n);
-  std::vector<std::uint8_t> done(shards, 0);
-  std::vector<std::uint32_t> peers(n);
-
-  engine.parallel_shards(
-      [&](std::uint32_t begin, std::uint32_t end, Metrics&) {
-        std::uint8_t flag = 1;
-        for (std::uint32_t v = begin; v < end; ++v) {
-          if (!equivalent(cur[v])) {
-            flag = 0;
-            break;
-          }
-        }
-        done[engine.shard_of(begin)] = flag;
-      });
-  const auto all_done = [&] {
-    return std::all_of(done.begin(), done.end(),
-                       [](std::uint8_t f) { return f != 0; });
-  };
-
-  for (std::uint64_t r = 0; r < max_rounds; ++r) {
-    if (all_done()) {
-      out.converged = true;
-      break;
-    }
-    engine.pull_round(bits_per_message, peers);
-    ++out.rounds;
-    engine.parallel_shards(
-        [&](std::uint32_t begin, std::uint32_t end, Metrics&) {
-          constexpr std::uint32_t kAhead = 16;
-          std::uint8_t flag = 1;
-          for (std::uint32_t v = begin; v < end; ++v) {
-            // The peer lane is already materialised (pull_round filled it),
-            // so a simple lookahead prefetch hides the random gather.
-            if (v + kAhead < end) {
-              const std::uint32_t ahead = peers[v + kAhead];
-              if (ahead != Engine::kNoPeer) prefetch_read(&cur[ahead]);
-            }
-            const std::uint32_t p = peers[v];
-            next[v] = (p != Engine::kNoPeer && less(cur[v], cur[p])) ? cur[p]
-                                                                     : cur[v];
-            if (!equivalent(next[v])) flag = 0;
-          }
-          done[engine.shard_of(begin)] = flag;
-        });
-    cur.swap(next);
-  }
-  if (!out.converged) out.converged = all_done();
-  out.values = std::move(cur);
-  return out;
-}
-
 // ---- push-sum on the scatter primitive -----------------------------------
 //
-// The batched twin of push_sum_average_multi: per round, every node halves
+// The Engine's push_sum_average_multi kernel: per round, every node halves
 // its masses and scatters one message; the scatter delivers each
 // destination's incoming masses in ascending sender order, which is the
 // exact floating-point fold order of the sequential for-loop.
@@ -146,13 +52,15 @@ struct PushSumScratch {
   FirstTouchBuffer<Pair> inflow;  // accumulated incoming masses
 };
 
+}  // namespace
+
 template <std::size_t D>
-MultiPushSumResult<D> engine_push_sum_average_multi(
+MultiPushSumResult<D> push_sum_average_multi(
     Engine& engine, std::span<const std::array<double, D>> x,
     std::uint64_t rounds) {
   const std::uint32_t n = engine.size();
   GQ_REQUIRE(x.size() == n, "one input vector per node required");
-  if (rounds == 0) rounds = push_sum_rounds_default(n, engine.failures());
+  if (rounds == 0) rounds = push_sum_rounds_for_exact(n, engine.failures());
   const std::uint64_t bits = push_sum_message_bits(D);
 
   using Pair = typename PushSumScratch<D>::Pair;
@@ -242,140 +150,10 @@ MultiPushSumResult<D> engine_push_sum_average_multi(
   return out;
 }
 
-}  // namespace
-
-// ---- batched collectives --------------------------------------------------
-
-SpreadResult spread_min(Engine& engine, std::span<const Key> init,
-                        std::uint64_t max_rounds) {
-  GenericSpreadResult<Key> g = engine_spread_best(
-      engine, init, std::greater<Key>{}, key_bits(engine.size()), max_rounds);
-  SpreadResult out;
-  out.values = std::move(g.values);
-  out.rounds = g.rounds;
-  out.converged = g.converged;
-  return out;
-}
-
-SpreadResult spread_max(Engine& engine, std::span<const Key> init,
-                        std::uint64_t max_rounds) {
-  GenericSpreadResult<Key> g = engine_spread_best(
-      engine, init, std::less<Key>{}, key_bits(engine.size()), max_rounds);
-  SpreadResult out;
-  out.values = std::move(g.values);
-  out.rounds = g.rounds;
-  out.converged = g.converged;
-  return out;
-}
-
-CountResult gossip_count(Engine& engine, const std::vector<bool>& indicator,
-                         std::uint64_t rounds) {
-  const std::uint32_t n = engine.size();
-  GQ_REQUIRE(indicator.size() == n, "one indicator bit per node required");
-  if (rounds == 0) rounds = push_sum_rounds_for_exact(n, engine.failures());
-
-  std::vector<std::array<double, 1>> x(n);
-  for (std::uint32_t v = 0; v < n; ++v) {
-    x[v][0] = indicator[v] ? 1.0 : 0.0;
-  }
-  const MultiPushSumResult<1> sum = engine_push_sum_average_multi<1>(
-      engine, std::span<const std::array<double, 1>>(x), rounds);
-
-  CountResult out;
-  out.rounds = sum.rounds;
-  out.counts.resize(n);
-  for (std::uint32_t v = 0; v < n; ++v) {
-    const double rounded =
-        std::round(sum.estimates[v][0] * static_cast<double>(n));
-    out.counts[v] = rounded <= 0.0 ? 0 : static_cast<std::uint64_t>(rounded);
-  }
-  return out;
-}
-
-CountResult gossip_rank(Engine& engine, std::span<const Key> keys,
-                        const Key& threshold, std::uint64_t rounds) {
-  std::vector<bool> indicator(keys.size());
-  for (std::size_t v = 0; v < keys.size(); ++v) {
-    indicator[v] = keys[v] <= threshold;
-  }
-  return gossip_count(engine, indicator, rounds);
-}
-
-TripleCountResult gossip_count3(Engine& engine,
-                                const std::vector<bool>& ind_a,
-                                const std::vector<bool>& ind_b,
-                                const std::vector<bool>& ind_c,
-                                std::uint64_t rounds) {
-  const std::uint32_t n = engine.size();
-  GQ_REQUIRE(ind_a.size() == n && ind_b.size() == n && ind_c.size() == n,
-             "one indicator bit per node required");
-  if (rounds == 0) rounds = push_sum_rounds_for_exact(n, engine.failures());
-
-  std::vector<std::array<double, 3>> x(n);
-  for (std::uint32_t v = 0; v < n; ++v) {
-    x[v] = {ind_a[v] ? 1.0 : 0.0, ind_b[v] ? 1.0 : 0.0, ind_c[v] ? 1.0 : 0.0};
-  }
-  const MultiPushSumResult<3> avg = engine_push_sum_average_multi<3>(
-      engine, std::span<const std::array<double, 3>>(x), rounds);
-
-  TripleCountResult out;
-  out.rounds = avg.rounds;
-  out.a.resize(n);
-  out.b.resize(n);
-  out.c.resize(n);
-  const auto to_count = [n](double e) {
-    const double rounded = std::round(e * static_cast<double>(n));
-    return rounded <= 0.0 ? std::uint64_t{0}
-                          : static_cast<std::uint64_t>(rounded);
-  };
-  for (std::uint32_t v = 0; v < n; ++v) {
-    out.a[v] = to_count(avg.estimates[v][0]);
-    out.b[v] = to_count(avg.estimates[v][1]);
-    out.c[v] = to_count(avg.estimates[v][2]);
-  }
-  return out;
-}
-
-PivotSample sample_uniform_candidate(Engine& engine,
-                                     std::span<const Key> inst,
-                                     const std::vector<bool>& candidate) {
-  using pivot_detail::PriorityKey;
-  using pivot_detail::PriorityLess;
-  const std::uint32_t n = engine.size();
-  GQ_REQUIRE(inst.size() == n && candidate.size() == n,
-             "one key and one candidate flag per node required");
-
-  // One local round in which every candidate draws its priority; failed
-  // nodes sit this pivot out, which keeps the choice uniform over the
-  // participating candidates.
-  engine.begin_round();
-  std::vector<PriorityKey> pairs(n);
-  engine.parallel_shards(
-      [&](std::uint32_t begin, std::uint32_t end, Metrics& local) {
-        for (std::uint32_t v = begin; v < end; ++v) {
-          if (!candidate[v]) continue;
-          if (engine.node_fails(v)) {
-            ++local.failed_operations;
-            continue;
-          }
-          SplitMix64 stream = engine.node_stream(v);
-          pairs[v] = PriorityKey{stream() | 1ull, inst[v]};
-        }
-      });
-
-  const GenericSpreadResult<PriorityKey> spread = engine_spread_best(
-      engine, std::span<const PriorityKey>(pairs), PriorityLess{},
-      pivot_detail::priority_key_bits(n));
-
-  PivotSample out;
-  out.rounds = 1 + spread.rounds;
-  const PriorityKey& winner = spread.values.front();
-  if (winner.priority != 0 && spread.converged) {
-    out.found = true;
-    out.pivot = winner.key;
-  }
-  return out;
-}
+template MultiPushSumResult<1> push_sum_average_multi<1>(
+    Engine&, std::span<const std::array<double, 1>>, std::uint64_t);
+template MultiPushSumResult<3> push_sum_average_multi<3>(
+    Engine&, std::span<const std::array<double, 3>>, std::uint64_t);
 
 namespace {
 

@@ -17,8 +17,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "analysis/rank_stats.hpp"
 #include "core/approx_quantile.hpp"
 #include "core/exact_quantile.hpp"
 #include "core/own_rank.hpp"
@@ -26,6 +28,7 @@
 #include "engine/engine.hpp"
 #include "engine/kernels.hpp"
 #include "engine/pipelines.hpp"
+#include "sim/adversary.hpp"
 #include "sim/network.hpp"
 #include "workload/distributions.hpp"
 #include "workload/tiebreak.hpp"
@@ -231,10 +234,9 @@ TEST(EngineRobustPipelinesFallback, ExactFallbackUnderFailuresMatchesCore) {
   constexpr std::uint32_t kN = 1024;
   constexpr std::uint64_t kSeed = 619;
   const auto values = generate_values(Distribution::kGaussian, kN, 61);
-  // mu is kept moderate: the count-based selection endgame of the exact
-  // pipeline can mis-count under heavier failure noise at this small n and
-  // aborts the run on BOTH executors — a sequential-path property, not an
-  // engine one (e.g. mu = 0.3 with this input and seed 619).
+  // With this input and seed, mu = 0.3 reaches an endgame pivot draw that
+  // every candidate loses to failures (the counts are exact, nothing is
+  // mis-counted); the pivot sampler redraws it, so that run is exact too.
   const FailureModel fm = FailureModel::uniform(0.25);
 
   ApproxQuantileParams params;
@@ -276,6 +278,52 @@ TEST(EngineRobustPipelinesFallback, ExactQuantileUnderFailuresMatchesCore) {
     EXPECT_EQ(par.endgame_phases, seq.endgame_phases);
     EXPECT_EQ(par.rounds, seq.rounds);
     EXPECT_EQ(engine.metrics(), net.metrics()) << "threads=" << threads;
+  }
+}
+
+// Tiny networks under heavy loss: in an endgame pivot draw every candidate
+// can lose its priority round (one candidate at mu = 0.3 loses 30% of
+// them).  The sampler redraws such a round rather than reporting "no
+// candidates", so every run of this grid returns the sorted-oracle answer,
+// and both executors agree on outputs, rounds and Metrics.  Shards of 4
+// nodes give the n = 17 runs five shards.
+TEST(EngineRobustPipelinesFallback, TinyExactUnderLossMatchesOracleAndCore) {
+  const FailureModel fm = FailureModel::uniform(0.3);
+  for (const std::uint32_t n : {2u, 3u, 4u, 5u, 7u, 17u}) {
+    for (const double phi : {0.0, 0.5, 1.0}) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        const auto values =
+            generate_values(Distribution::kUniformReal, n, seed + 100);
+        const Key truth = RankScale(make_keys(values)).exact_quantile(phi);
+        const std::string where = "n=" + std::to_string(n) +
+                                  " phi=" + std::to_string(phi) +
+                                  " seed=" + std::to_string(seed);
+        ExactQuantileParams params;
+        params.phi = phi;
+
+        Network net(n, seed, fm);
+        ExactQuantileResult seq;
+        ASSERT_NO_THROW(seq = exact_quantile(net, values, params)) << where;
+        EXPECT_EQ(seq.answer.value, truth.value) << where;
+        EXPECT_EQ(seq.answer.id, truth.id) << where;
+
+        for (const unsigned threads : {1u, 2u}) {
+          Engine engine(n, seed, fm,
+                        EngineConfig{.threads = threads, .shard_size = 4});
+          ExactQuantileResult par;
+          ASSERT_NO_THROW(par = exact_quantile(engine, values, params))
+              << where << " threads=" << threads;
+          EXPECT_EQ(par.answer, seq.answer) << where;
+          EXPECT_EQ(par.outputs, seq.outputs) << where;
+          EXPECT_EQ(par.valid, seq.valid) << where;
+          EXPECT_EQ(par.iterations, seq.iterations) << where;
+          EXPECT_EQ(par.endgame_phases, seq.endgame_phases) << where;
+          EXPECT_EQ(par.rounds, seq.rounds) << where;
+          EXPECT_EQ(engine.metrics(), net.metrics())
+              << where << " threads=" << threads;
+        }
+      }
+    }
   }
 }
 
@@ -350,12 +398,13 @@ TEST(EngineRobustKernels, GatherBlockSweepMatchesCore) {
   }
 }
 
-// The small-n heavy-failure endgame abort is a typed, recoverable error:
-// the scenario the ExactFallbackUnderFailuresMatchesCore comment documents
-// (this input at mu = 0.3) makes the count-based selection endgame
-// mis-count on BOTH executors.  Both must throw ExactPipelineError — not a
-// bare runtime_error, not a wrong answer — and both must remain usable
-// afterwards (the abort is a per-run property, not engine corruption).
+// An exact-pipeline abort is a typed, recoverable error.  An eclipse
+// adversary on top of mu = 0.3 loss silences nodes [0, n/16), so the
+// endgame's pivot spread never reaches them and the run aborts on BOTH
+// executors.  Both must throw ExactPipelineError of the same kind —
+// not a bare runtime_error, not a wrong answer — and both must remain
+// usable afterwards (the abort is a per-run property, not engine
+// corruption).
 TEST(EngineRobustPipelinesFallback, ExactEndgameAbortIsTypedOnBothExecutors) {
   constexpr std::uint32_t kN = 1024;
   constexpr std::uint64_t kSeed = 619;
@@ -368,7 +417,9 @@ TEST(EngineRobustPipelinesFallback, ExactEndgameAbortIsTypedOnBothExecutors) {
 
   ExactPipelineError::Kind seq_kind{};
   {
+    EclipseAdversary eclipse(0, kN / 16);
     Network net(kN, kSeed, fm);
+    net.set_adversary(&eclipse);
     try {
       (void)approx_quantile(net, values, params);
       FAIL() << "sequential run was expected to abort";
@@ -382,7 +433,9 @@ TEST(EngineRobustPipelinesFallback, ExactEndgameAbortIsTypedOnBothExecutors) {
   }
 
   for (unsigned threads : kThreadCounts) {
+    EclipseAdversary eclipse(0, kN / 16);
     Engine engine(kN, kSeed, fm, config_for(threads));
+    engine.set_adversary(&eclipse);
     try {
       (void)approx_quantile(engine, values, params);
       FAIL() << "engine run was expected to abort (threads=" << threads
@@ -396,7 +449,9 @@ TEST(EngineRobustPipelinesFallback, ExactEndgameAbortIsTypedOnBothExecutors) {
   }
 
   // Back-compat: the typed error still lands in runtime_error catch sites.
+  EclipseAdversary eclipse(0, kN / 16);
   Network net(kN, kSeed, fm);
+  net.set_adversary(&eclipse);
   EXPECT_THROW((void)approx_quantile(net, values, params),
                std::runtime_error);
 }
