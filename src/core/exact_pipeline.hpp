@@ -8,29 +8,38 @@
 // for Engine).  Bit-identity of the two paths then reduces to bit-identity
 // of each primitive, which tests/test_engine.cpp pins kernel by kernel.
 //
+// Each bracketing iteration pays for one diffusion per step: both brackets
+// (phi = k/n -/+ s) ride one multi_quantile_keys batch, whose failure-free
+// route is the two-lane shared schedule (core/multi_pipeline.hpp), and the
+// lower bracket's min and the upper bracket's max spread in one fused
+// diffusion (spread_min_max).
+//
 // An executor `ex` must derive from RoundCore (size, seed, round, metrics,
 // failures, begin_round, node_stream, node_fails), provide
 // parallel_shards(fn), and provide these overloads:
 //   ApproxQuantileResult approx_quantile_keys(ex, span<const Key>,
 //                                             const ApproxQuantileParams&);
-//   GenericSpreadResult<T> spread_best(ex, span<const T>, Less,
-//                                      uint64_t bits, uint64_t max_rounds);
+//   MultiQuantileResult multi_quantile_keys(ex, span<const Key>,
+//                                           const MultiQuantileParams&);
+//   array<GenericSpreadResult<T>, C> spread_best(
+//       ex, const array<span<const T>, C>&, const array<Less, C>&,
+//       uint64_t bits_per_component, uint64_t max_rounds);   // C = 1, 2
 //   MultiPushSumResult<D> push_sum_average_multi<D>(
 //       ex, span<const array<double, D>>, uint64_t rounds);   // D = 1, 3
 //   TokenSplitResult token_split_distribute(ex, span<const Key>,
 //                                           uint64_t m, uint64_t tag);
-// (Network's live in agg/, core/token_split and core/approx_quantile;
-// Engine's in engine/pipelines.hpp.)  The collectives the pipeline calls —
-// spread_min/spread_max, gossip_count/gossip_rank/gossip_count3 and
-// sample_uniform_candidate — are written once over the executor on top of
-// those kernels (agg/spread.hpp, agg/rank_count.hpp, core/pivot.hpp).
+// (Network's live in agg/, core/token_split, core/approx_quantile and
+// core/multi_quantile; Engine's in engine/pipelines.hpp.)  The collectives
+// the pipeline calls — spread_min/spread_max/spread_min_max,
+// gossip_count/gossip_rank/gossip_count3 and sample_uniform_candidate — are
+// written once over the executor on top of those kernels (agg/spread.hpp,
+// agg/rank_count.hpp, core/pivot.hpp).
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <span>
 #include <stdexcept>
@@ -41,6 +50,7 @@
 #include "agg/spread.hpp"
 #include "analysis/theory_bounds.hpp"
 #include "core/approx_quantile.hpp"
+#include "core/multi_quantile.hpp"
 #include "core/params.hpp"
 #include "core/pivot.hpp"
 #include "core/result.hpp"
@@ -67,6 +77,12 @@ ExactPipelineError::Context abort_context(const Executor& ex,
   context.phase = phase;
   return context;
 }
+
+// K of every inner approximate run.  The brackets take the min/max over
+// ALL nodes' outputs, so a single tail outlier inflates the window; K = 31
+// drives the per-node outlier probability below 1/poly(n) (Lemma 2.17
+// amplification).
+inline constexpr std::uint32_t kInnerSampleSize = 31;
 
 struct PipelineOutcome {
   Key answer = Key::infinite();
@@ -115,7 +131,7 @@ PipelineOutcome selection_endgame(Executor& ex, std::vector<Key>& inst,
         ex, inst, candidate, params.max_endgame_phases);
     if (!pv.found) {
       throw ExactPipelineError(
-          ExactPipelineError::Kind::kEndgameNoCandidates,
+          ExactPipelineError::Kind::kEndgameNoPivot,
           "selection endgame drew no pivot (pivot spread did not converge)",
           abort_context(ex, "selection_endgame"));
     }
@@ -142,7 +158,7 @@ PipelineOutcome selection_endgame(Executor& ex, std::vector<Key>& inst,
 // strategy choice; all reported costs are measured, not predicted.
 struct CostModel {
   double per_endgame_phase;  // pivot spread + exact count
-  double per_iteration;      // 2 approx runs + 2 spreads + triple count + tokens
+  double per_iteration;  // bracket batch + fused spread + triple count + tokens
 
   static CostModel build(std::uint32_t n, std::uint64_t exact_count_rounds,
                          double slack) {
@@ -150,15 +166,32 @@ struct CostModel {
     const double log2n = std::log2(nd);
     const double count_rounds = static_cast<double>(exact_count_rounds);
     const double spread_rounds = 2.0 * log2n + 10.0;
-    const double approx_rounds =
-        3.0 * (phase1_iteration_bound(slack) +
-               phase2_iteration_bound(slack / 4.0, n)) +
-        20.0;
+    // One shared-schedule bracket batch: the two lanes' Phase-1 schedules
+    // superimposed (the longer one, two rounds per iteration), one Phase 2
+    // (three rounds per iteration) and one final K-sample.
+    const double bracket_rounds =
+        2.0 * phase1_iteration_bound(slack) +
+        3.0 * phase2_iteration_bound(slack / 4.0, n) + kInnerSampleSize;
     CostModel m{};
     m.per_endgame_phase = 1.0 + spread_rounds + count_rounds;
-    m.per_iteration = 2.0 * approx_rounds + 2.0 * spread_rounds +
-                      count_rounds + log2n + 10.0;
+    // The fused min/max spread lasts as long as its slower component.
+    m.per_iteration = bracket_rounds + spread_rounds + count_rounds +
+                      log2n + 10.0;
     return m;
+  }
+
+  // Expected selection-endgame phases for the rank-k key among
+  // `candidates` keys.  The key j ranks away from the target is drawn as a
+  // pivot iff it is drawn first among the |j - k| + 1 keys from it to the
+  // target, so the expected number of draws is H_k + H_{N-k+1} - 1 (the
+  // depth of uniform-pivot quickselect).
+  static double endgame_phases(std::uint64_t candidates, std::uint64_t k) {
+    const auto harmonic = [](double x) {
+      return std::log(x) + 0.5772156649 + 0.5 / x;
+    };
+    const double total = std::max(1.0, static_cast<double>(candidates));
+    const double rank = std::clamp(static_cast<double>(k), 1.0, total);
+    return harmonic(rank) + harmonic(total - rank + 1.0) - 1.0;
   }
 };
 
@@ -186,12 +219,14 @@ PipelineOutcome run_pipeline(Executor& ex, std::span<const Key> keys,
   std::uint64_t block = 1;  // ranks (k-block, k] of inst all hold the answer
   PipelineOutcome out;
 
+  // Steps 3-4's two brackets: one shared-schedule batch of two lanes.
+  MultiQuantileParams brackets;
+  brackets.eps = s;
+  brackets.final_sample_size = kInnerSampleSize;
+  // Step 10's final single-target run.
   ApproxQuantileParams inner;
   inner.eps = s;
-  // The brackets take the min/max over ALL nodes' outputs, so a single
-  // tail outlier inflates the window.  K = 31 drives the per-node outlier
-  // probability below 1/poly(n) (Lemma 2.17 amplification).
-  inner.final_sample_size = 31;
+  inner.final_sample_size = kInnerSampleSize;
 
   while (true) {
     if (block >= k) {
@@ -224,20 +259,24 @@ PipelineOutcome run_pipeline(Executor& ex, std::span<const Key> keys,
     GQ_SPAN("exact/iteration");
 
     // Steps 3-4: bracket the k/n-quantile from both sides and spread the
-    // extremes.
-    inner.phi = std::clamp(static_cast<double>(k) / nd - s, 0.0, 1.0);
-    ApproxQuantileResult r_lo = approx_quantile_keys(ex, inst, inner);
-    inner.phi = std::clamp(static_cast<double>(k) / nd + s, 0.0, 1.0);
-    ApproxQuantileResult r_hi = approx_quantile_keys(ex, inst, inner);
-
+    // extremes.  Both brackets ride one batch: failure-free, their lanes
+    // share every Phase-2 round and the final sample; under a failure
+    // model or below the tournament floor the batch runs one approximate
+    // pipeline per bracket, lower first.  The min and the max then share
+    // one diffusion.
+    brackets.phis = {std::clamp(static_cast<double>(k) / nd - s, 0.0, 1.0),
+                     std::clamp(static_cast<double>(k) / nd + s, 0.0, 1.0)};
+    MultiQuantileResult batch = multi_quantile_keys(ex, inst, brackets);
+    ApproxQuantileResult& r_lo = batch.per_phi[0];
+    ApproxQuantileResult& r_hi = batch.per_phi[1];
     for (std::uint32_t v = 0; v < n; ++v) {
       if (!r_lo.valid[v]) r_lo.outputs[v] = Key::infinite();
       if (!r_hi.valid[v]) r_hi.outputs[v] = Key::neg_infinite();
     }
-    const SpreadResult s_lo = spread_min(ex, r_lo.outputs);
-    const SpreadResult s_hi = spread_max(ex, r_hi.outputs);
-    const Key lo = s_lo.values.front();
-    const Key hi = s_hi.values.front();
+    const std::array<SpreadResult, 2> extremes =
+        spread_min_max(ex, r_lo.outputs, r_hi.outputs);
+    const Key lo = extremes[0].values.front();
+    const Key hi = extremes[1].values.front();
     // A bracket can degenerate when an inner run misses its w.h.p. window
     // (e.g. the upper run lands on a valueless node's +inf key).  A
     // one-sided miss is tolerated by dropping that side's filter below;
@@ -268,19 +307,6 @@ PipelineOutcome run_pipeline(Executor& ex, std::span<const Key> keys,
     // only if it provably does not cut the answer away.
     const bool use_lo = lo_ok && rank_lo >= 1 && rank_lo <= k;
     const bool use_hi = hi_ok && rank_hi >= k;
-    // Diagnostic trace for development and experiment debugging.
-    if (std::getenv("GQ_EXACT_TRACE") != nullptr) {
-      std::fprintf(stderr,
-                   "[exact] iter=%zu k=%llu block=%llu/%llu A=%llu B=%llu "
-                   "F=%llu use_lo=%d use_hi=%d\n",
-                   out.iterations, static_cast<unsigned long long>(k),
-                   static_cast<unsigned long long>(block),
-                   static_cast<unsigned long long>(block_target),
-                   static_cast<unsigned long long>(rank_lo),
-                   static_cast<unsigned long long>(rank_hi),
-                   static_cast<unsigned long long>(finite_cnt),
-                   use_lo ? 1 : 0, use_hi ? 1 : 0);
-    }
     if (!use_lo && !use_hi) {
       if (params.strategy == ExactStrategy::kPreferDuplication) {
         continue;  // re-bracket with fresh randomness
@@ -344,12 +370,8 @@ PipelineOutcome run_pipeline(Executor& ex, std::span<const Key> keys,
           const double dup_iters = std::max(
               1.0, std::ceil(std::log(goal / static_cast<double>(block)) /
                              std::log(static_cast<double>(m))));
-          // Uniform pivots shave ~log2(4/3) candidates per phase; 1.6x
-          // log2 matches the measured phase counts.
-          const double endgame_phases =
-              1.6 * std::log2(std::max(2.0, static_cast<double>(survivors))) +
-              4.0;
-          go_endgame = endgame_phases * cost.per_endgame_phase <
+          go_endgame = CostModel::endgame_phases(survivors, k) *
+                           cost.per_endgame_phase <
                        dup_iters * cost.per_iteration;
         }
         break;
@@ -360,8 +382,17 @@ PipelineOutcome run_pipeline(Executor& ex, std::span<const Key> keys,
     }
     if (m >= 2) {
       GQ_SPAN("exact/token_split");
-      const TokenSplitResult ts = token_split_distribute(
-          ex, inst, m, static_cast<std::uint64_t>(out.iterations) << 32);
+      TokenSplitResult ts;
+      try {
+        ts = token_split_distribute(
+            ex, inst, m, static_cast<std::uint64_t>(out.iterations) << 32);
+      } catch (const std::runtime_error&) {
+        // The split's only runtime failure is its round cap.
+        throw ExactPipelineError(
+            ExactPipelineError::Kind::kTokenSplitStalled,
+            "token split-and-distribute did not converge",
+            abort_context(ex, "token_split"));
+      }
       inst = ts.instance;
       k *= m;
       block *= m;

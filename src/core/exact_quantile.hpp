@@ -3,8 +3,10 @@
 //
 // The algorithm tracks the target rank k (initially ceil(phi*n)) through a
 // sequence of *bracketing iterations*.  Each iteration:
-//   1. runs the approximate pipeline twice to obtain per-node brackets
-//      around the k/n-quantile, and spreads their min and max [Step 3-4];
+//   1. obtains per-node brackets around the k/n-quantile from one
+//      two-target approximate batch (phi = k/n -/+ s sharing one
+//      tournament schedule), and spreads the lower brackets' min and the
+//      upper brackets' max in one fused diffusion [Step 3-4];
 //   2. counts, exactly via push-sum, the ranks of both brackets and the
 //      number of surviving values [Step 5];
 //   3. discards every value outside [min, max] [Step 6]; and

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/key.hpp"
@@ -31,7 +32,7 @@ class ExactPipelineError : public std::runtime_error {
     // The selection endgame drew no pivot: the pivot spread did not
     // converge (e.g. eclipsed nodes never pull), or no candidate won any of
     // max_endgame_phases priority draws.
-    kEndgameNoCandidates,
+    kEndgameNoPivot,
     // The selection endgame exhausted max_endgame_phases without landing
     // on rank k.
     kEndgameStalled,
@@ -40,6 +41,9 @@ class ExactPipelineError : public std::runtime_error {
     // The final answer's measured rank disagreed with the target on every
     // verification attempt.
     kVerificationFailed,
+    // Step 7's token split-and-distribute hit its round cap (e.g. an
+    // eclipsed node holds a token it can never split or scatter).
+    kTokenSplitStalled,
   };
 
   // Structured context captured at the throw site, so supervisor RunReports
@@ -52,7 +56,13 @@ class ExactPipelineError : public std::runtime_error {
     std::uint32_t n = 0;      // network size
     const char* phase = "";   // static phase label, e.g. "selection_endgame"
 
-    friend bool operator==(const Context&, const Context&) = default;
+    // Labels compare by text: the two executors' pipelines are instantiated
+    // in different translation units, and nothing makes the linker merge
+    // their copies of one literal.
+    friend bool operator==(const Context& a, const Context& b) {
+      return a.seed == b.seed && a.round == b.round && a.n == b.n &&
+             std::string_view(a.phase) == std::string_view(b.phase);
+    }
   };
 
   ExactPipelineError(Kind kind, const char* what, const Context& context)
@@ -66,10 +76,11 @@ class ExactPipelineError : public std::runtime_error {
  private:
   static const char* kind_name(Kind kind) noexcept {
     switch (kind) {
-      case Kind::kEndgameNoCandidates: return "endgame-no-candidates";
+      case Kind::kEndgameNoPivot: return "endgame-no-pivot";
       case Kind::kEndgameStalled: return "endgame-stalled";
       case Kind::kBracketingEmptied: return "bracketing-emptied";
       case Kind::kVerificationFailed: return "verification-failed";
+      case Kind::kTokenSplitStalled: return "token-split-stalled";
     }
     return "unknown";
   }

@@ -135,7 +135,7 @@ struct AttemptRecord {
   // marks whether error_kind carries an ExactPipelineError::Kind.
   bool typed_error = false;
   ExactPipelineError::Kind error_kind =
-      ExactPipelineError::Kind::kEndgameNoCandidates;
+      ExactPipelineError::Kind::kEndgameNoPivot;
   std::string error_what;
 
   friend bool operator==(const AttemptRecord&, const AttemptRecord&) = default;

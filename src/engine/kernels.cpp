@@ -138,6 +138,50 @@ struct PickScratch {
 // cannot diverge the bit-identity twins.
 using robust_detail::median3;
 
+// The (k/2)-th smallest of a[0..k) — the value std::nth_element leaves at
+// a + k/2, and the same value whatever order a arrives in, so the
+// final-sample medians stay bit-identical to the reference's nth_element.
+// A node's K samples are a few dozen random ranks, on which nth_element's
+// partitions mispredict almost every comparison; this quickselect
+// partitions without branches (swap unconditionally, advance on the
+// comparison), which halves the cost of the final sample's medians.
+// Reorders a; k >= 1.
+std::uint32_t median_rank(std::uint32_t* a, std::uint32_t k) {
+  const std::uint32_t mid = k / 2;
+  std::uint32_t lo = 0;
+  std::uint32_t hi = k;
+  while (true) {
+    const std::uint32_t x = a[lo];
+    const std::uint32_t y = a[lo + (hi - lo) / 2];
+    const std::uint32_t z = a[hi - 1];
+    const std::uint32_t pivot =
+        std::max(std::min(x, y), std::min(std::max(x, y), z));
+    // [lo, below) < pivot; then [below, equal) == pivot.  The pivot is an
+    // element of [lo, hi), so each pass either lands on it or shrinks the
+    // range.
+    std::uint32_t below = lo;
+    for (std::uint32_t j = lo; j < hi; ++j) {
+      const std::uint32_t v = a[j];
+      a[j] = a[below];
+      a[below] = v;
+      below += v < pivot ? 1 : 0;
+    }
+    if (mid < below) {
+      hi = below;
+      continue;
+    }
+    std::uint32_t equal = below;
+    for (std::uint32_t j = below; j < hi; ++j) {
+      const std::uint32_t v = a[j];
+      a[j] = a[equal];
+      a[equal] = v;
+      equal += v == pivot ? 1 : 0;
+    }
+    if (mid < equal) return pivot;
+    lo = equal;
+  }
+}
+
 // The median rule's pooled second ping-pong buffer (the first is the
 // result vector itself; see median_rule_keys for why it does not intern).
 struct KeyBufferScratch {
@@ -535,9 +579,8 @@ void multi_final_sample(Engine& engine, std::uint32_t k_samples,
             for (std::uint32_t j = 0; j < k_samples; ++j) {
               samp[j] = cur[static_cast<std::size_t>(pick[j]) * q + l];
             }
-            std::uint32_t* const mid = samp + k_samples / 2;
-            std::nth_element(samp, mid, samp + k_samples);
-            outputs[l][v] = lanes.interner.key_at(*mid);
+            outputs[l][v] =
+                lanes.interner.key_at(median_rank(samp, k_samples));
           }
         }
         local.record_messages(
@@ -845,9 +888,7 @@ class EngineRobustOps {
             valid8[v] = 0;
             return;
           }
-          std::uint32_t* const mid = samp + k / 2;
-          std::nth_element(samp, mid, samp + k);
-          outputs[v] = lanes_.interner.key_at(*mid);
+          outputs[v] = lanes_.interner.key_at(median_rank(samp, k));
           valid8[v] = 1;
         });
     valid.resize(n_);

@@ -31,6 +31,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -60,94 +61,152 @@ namespace gq {
 // overload resolution.
 
 // The Engine's spread kernel, the batched twin of agg/spread.hpp's
-// spread_best: same target (the global best under `less`, found shard-wise
-// in shard order), same per-round fold, same convergence checks, so round
-// counts and Metrics match the sequential loop exactly.  The per-shard done
-// flags are folded into the round kernel so the omniscient all-agree check
-// costs no extra parallel section.
-template <typename T, typename Less>
-GenericSpreadResult<T> spread_best(Engine& engine, std::span<const T> init,
-                                   Less less, std::uint64_t bits_per_message,
-                                   std::uint64_t max_rounds = 0) {
+// spread_best: same targets (each component's global best under less[c],
+// found shard-wise in shard order), same per-round fold, same live-component
+// billing and convergence checks, so round counts and Metrics match the
+// sequential loop exactly.  A node's C components sit side by side in one
+// row, so a fused spread gathers one row per pull instead of C scattered
+// payloads; a converged component is folded along unchanged, which the
+// strict order makes a no-op.  Each round is one parallel section: the
+// peer draws and the per-shard done flags are folded into it, so neither
+// the pull nor the omniscient all-agree check costs a section of its own.
+template <typename T, typename Less, std::size_t C>
+std::array<GenericSpreadResult<T>, C> spread_best(
+    Engine& engine, const std::array<std::span<const T>, C>& init,
+    const std::array<Less, C>& less, std::uint64_t bits_per_component,
+    std::uint64_t max_rounds = 0) {
   const std::uint32_t n = engine.size();
-  GQ_REQUIRE(init.size() == n, "one payload per node required");
+  for (const std::span<const T> component : init) {
+    GQ_REQUIRE(component.size() == n, "one payload per node required");
+  }
   if (max_rounds == 0) {
     max_rounds = spread_rounds_cap(n, engine.failures());
   }
 
-  std::vector<T> cur(init.begin(), init.end());
+  using Row = std::array<T, C>;
+  std::vector<Row> cur(n);
   const std::size_t shards = engine.num_shards();
 
-  // The global best: per-shard first-maximum, combined in shard order —
-  // equivalent to std::max_element's first-maximum over the whole range.
-  std::vector<T> shard_best(shards);
+  // Pack the rows and find each component's global best: per-shard
+  // first-maximum, combined in shard order — equivalent to
+  // std::max_element's first-maximum over the whole range.
+  std::vector<Row> shard_best(shards);
   engine.parallel_shards(
       [&](std::uint32_t begin, std::uint32_t end, Metrics&) {
-        T best = cur[begin];
+        for (std::uint32_t v = begin; v < end; ++v) {
+          for (std::size_t c = 0; c < C; ++c) cur[v][c] = init[c][v];
+        }
+        Row best = cur[begin];
         for (std::uint32_t v = begin + 1; v < end; ++v) {
-          if (less(best, cur[v])) best = cur[v];
+          for (std::size_t c = 0; c < C; ++c) {
+            if (less[c](best[c], cur[v][c])) best[c] = cur[v][c];
+          }
         }
         shard_best[engine.shard_of(begin)] = best;
       });
-  T target = shard_best[0];
+  Row target = shard_best[0];
   for (std::size_t s = 1; s < shards; ++s) {
-    if (less(target, shard_best[s])) target = shard_best[s];
+    for (std::size_t c = 0; c < C; ++c) {
+      if (less[c](target[c], shard_best[s][c])) target[c] = shard_best[s][c];
+    }
   }
 
-  const auto equivalent = [&](const T& k) {
-    return !less(k, target) && !less(target, k);
-  };
-
-  GenericSpreadResult<T> out;
-  std::vector<T> next(n);
-  std::vector<std::uint8_t> done(shards, 0);
-  std::vector<std::uint32_t> peers(n);
-
+  std::array<GenericSpreadResult<T>, C> out;
+  std::vector<Row> next(n);
+  // done[s * C + c]: every node of shard s holds component c's target.
+  // Nothing is strictly better than a target, so a payload is equivalent
+  // to it iff it is not strictly worse.
+  std::vector<std::uint8_t> done(shards * C, 0);
   engine.parallel_shards(
       [&](std::uint32_t begin, std::uint32_t end, Metrics&) {
-        std::uint8_t flag = 1;
-        for (std::uint32_t v = begin; v < end; ++v) {
-          if (!equivalent(cur[v])) {
-            flag = 0;
-            break;
+        for (std::size_t c = 0; c < C; ++c) {
+          std::uint8_t flag = 1;
+          for (std::uint32_t v = begin; v < end; ++v) {
+            if (less[c](cur[v][c], target[c])) {
+              flag = 0;
+              break;
+            }
           }
+          done[engine.shard_of(begin) * C + c] = flag;
         }
-        done[engine.shard_of(begin)] = flag;
       });
-  const auto all_done = [&] {
-    return std::all_of(done.begin(), done.end(),
-                       [](std::uint8_t f) { return f != 0; });
+  const auto all_done = [&](std::size_t c) {
+    for (std::size_t s = 0; s < shards; ++s) {
+      if (done[s * C + c] == 0) return false;
+    }
+    return true;
   };
 
   for (std::uint64_t r = 0; r < max_rounds; ++r) {
-    if (all_done()) {
-      out.converged = true;
-      break;
+    std::uint64_t live = 0;
+    for (std::size_t c = 0; c < C; ++c) {
+      if (!out[c].converged) out[c].converged = all_done(c);
+      if (!out[c].converged) {
+        ++live;
+        ++out[c].rounds;
+      }
     }
-    engine.pull_round(bits_per_message, peers);
-    ++out.rounds;
+    if (live == 0) break;
+    // One section per round: the pull (the batched twin of
+    // Network::pull_round — same per-node draw, same per-shard failure and
+    // message accounting) is fused with the fold.  Each block's peers are
+    // drawn and their rows prefetched before the block folds against them.
+    engine.begin_round();
     engine.parallel_shards(
-        [&](std::uint32_t begin, std::uint32_t end, Metrics&) {
-          constexpr std::uint32_t kAhead = 16;
-          std::uint8_t flag = 1;
-          for (std::uint32_t v = begin; v < end; ++v) {
-            // The peer lane is already materialised (pull_round filled it),
-            // so a simple lookahead prefetch hides the random gather.
-            if (v + kAhead < end) {
-              const std::uint32_t ahead = peers[v + kAhead];
-              if (ahead != Engine::kNoPeer) prefetch_read(&cur[ahead]);
+        [&](std::uint32_t begin, std::uint32_t end, Metrics& local) {
+          constexpr std::uint32_t kBlock = 32;
+          std::uint32_t peers[kBlock];
+          std::array<std::uint8_t, C> flag;
+          flag.fill(1);
+          std::uint64_t sent = 0;
+          for (std::uint32_t b0 = begin; b0 < end; b0 += kBlock) {
+            const std::uint32_t b1 = std::min(b0 + kBlock, end);
+            for (std::uint32_t v = b0; v < b1; ++v) {
+              std::uint32_t& p = peers[v - b0];
+              if (engine.node_fails(v)) {
+                ++local.failed_operations;
+                p = Engine::kNoPeer;
+                continue;
+              }
+              SplitMix64 stream = engine.node_stream(v);
+              p = engine.sample_peer(v, stream);
+              ++sent;
+              // A multi-component row may straddle two lines.
+              prefetch_read(&cur[p].front());
+              if constexpr (C > 1) prefetch_read(&cur[p].back());
             }
-            const std::uint32_t p = peers[v];
-            next[v] = (p != Engine::kNoPeer && less(cur[v], cur[p])) ? cur[p]
-                                                                     : cur[v];
-            if (!equivalent(next[v])) flag = 0;
+            for (std::uint32_t v = b0; v < b1; ++v) {
+              const std::uint32_t p = peers[v - b0];
+              const Row& mine = cur[v];
+              const Row& theirs = p != Engine::kNoPeer ? cur[p] : mine;
+              for (std::size_t c = 0; c < C; ++c) {
+                next[v][c] =
+                    less[c](mine[c], theirs[c]) ? theirs[c] : mine[c];
+                if (less[c](next[v][c], target[c])) flag[c] = 0;
+              }
+            }
           }
-          done[engine.shard_of(begin)] = flag;
+          local.record_messages(sent, live * bits_per_component);
+          for (std::size_t c = 0; c < C; ++c) {
+            done[engine.shard_of(begin) * C + c] = flag[c];
+          }
         });
     cur.swap(next);
   }
-  if (!out.converged) out.converged = all_done();
-  out.values = std::move(cur);
+
+  // Release the spare rows before unpacking, so the unpacked components
+  // take their place rather than raising the peak footprint.
+  next = std::vector<Row>();
+  for (std::size_t c = 0; c < C; ++c) {
+    if (!out[c].converged) out[c].converged = all_done(c);
+    out[c].values.resize(n);
+  }
+  engine.parallel_shards(
+      [&](std::uint32_t begin, std::uint32_t end, Metrics&) {
+        for (std::uint32_t v = begin; v < end; ++v) {
+          for (std::size_t c = 0; c < C; ++c) out[c].values[v] = cur[v][c];
+        }
+      });
   return out;
 }
 

@@ -223,6 +223,48 @@ TEST(AdversaryDifferential, ExactPipelineAbortsIdenticallyUnderAdversary) {
   }
 }
 
+// An eclipsed node holding a duplication token can neither split nor
+// scatter it, so Step 7's token split stalls at its round cap.  The stall
+// is a typed, recoverable abort with the same kind and context on both
+// executors, not a bare runtime_error.
+TEST(AdversaryErrors, TokenSplitStallIsTypedOnBothExecutors) {
+  constexpr std::uint32_t kN = 2048;
+  constexpr std::uint64_t kSeed = 631;
+  const auto values = generate_values(Distribution::kExponential, kN, 67);
+
+  EclipseAdversary eclipse(64, kN / 32);
+  ExactQuantileParams params;
+  params.phi = 0.5;
+  params.strategy = ExactStrategy::kPreferDuplication;
+  Network net(kN, kSeed);
+  net.set_adversary(&eclipse);
+  ExactPipelineError::Context seq_context;
+  try {
+    (void)exact_quantile(net, values, params);
+    FAIL() << "exact pipeline converged with eclipsed token holders";
+  } catch (const ExactPipelineError& e) {
+    EXPECT_EQ(e.kind(), ExactPipelineError::Kind::kTokenSplitStalled)
+        << e.what();
+    EXPECT_STREQ(e.context().phase, "token_split");
+    seq_context = e.context();
+  }
+
+  for (unsigned threads : kThreadCounts) {
+    Engine engine(kN, kSeed, FailureModel{}, config_for(threads));
+    engine.set_adversary(&eclipse);
+    try {
+      (void)exact_quantile(engine, values, params);
+      ADD_FAILURE() << "engine converged where sequential aborted, threads="
+                    << threads;
+    } catch (const ExactPipelineError& e) {
+      EXPECT_EQ(e.kind(), ExactPipelineError::Kind::kTokenSplitStalled)
+          << "threads=" << threads;
+      EXPECT_EQ(e.context(), seq_context) << "threads=" << threads;
+    }
+    EXPECT_EQ(engine.metrics(), net.metrics()) << "threads=" << threads;
+  }
+}
+
 // ---- boundary: budget = 0 == no adversary ---------------------------------
 
 TEST(AdversaryBoundary, BudgetZeroIsTranscriptIdenticalToNoAdversary) {
@@ -326,7 +368,8 @@ TEST(AdversaryBoundary, FailureModelLossesAreFailedOperations) {
 // ---- ExactPipelineError parity under adversarial pressure -----------------
 
 // Heavy oblivious noise plus an eclipse adversary makes the small-n exact
-// endgame mis-count and abort.  The abort must be the same typed
+// endgame draw no pivot (the eclipsed nodes never receive the pivot
+// spread) and abort.  The abort must be the same typed
 // ExactPipelineError kind on both executors at every thread count.  The
 // (deterministic) seed scan keeps the test robust to parameter drift: any
 // seed that aborts sequentially must abort identically on the engine.

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numeric>
 #include <vector>
@@ -138,6 +139,73 @@ TEST(Spread, ZeroRoundsWhenAlreadyUniform) {
   const SpreadResult r = spread_max(net, keys);
   EXPECT_TRUE(r.converged);
   EXPECT_EQ(r.rounds, 0u);
+}
+
+// A fused min/max spread sends one message per node per round while either
+// component is still spreading, and bills key_bits(n) per live component:
+// rounds and messages follow the slower component, bits the sum of both.
+TEST(Spread, FusedMinMaxBillsLiveComponents) {
+  constexpr std::uint32_t kN = 1024;
+  const std::uint64_t bits = key_bits(kN);
+  const auto lo = make_keys(generate_values(Distribution::kGaussian, kN, 5));
+  const auto hi =
+      make_keys(generate_values(Distribution::kUniformReal, kN, 6));
+  Network net(kN, 11);
+  const std::array<SpreadResult, 2> r = spread_min_max(net, lo, hi);
+  ASSERT_TRUE(r[0].converged && r[1].converged);
+  const Key lo_truth = *std::min_element(lo.begin(), lo.end());
+  const Key hi_truth = *std::max_element(hi.begin(), hi.end());
+  for (std::uint32_t v = 0; v < kN; ++v) {
+    EXPECT_EQ(r[0].values[v], lo_truth);
+    EXPECT_EQ(r[1].values[v], hi_truth);
+  }
+  const std::uint64_t a = r[0].rounds;
+  const std::uint64_t b = r[1].rounds;
+  EXPECT_GT(a, 0u);
+  EXPECT_GT(b, 0u);
+  EXPECT_EQ(net.metrics().rounds, std::max(a, b));
+  EXPECT_EQ(net.metrics().messages, std::max(a, b) * kN);
+  EXPECT_EQ(net.metrics().message_bits, (a + b) * kN * bits);
+
+  // A component that starts converged is never billed, and the other one
+  // then runs exactly the standalone spread.
+  const std::vector<Key> flat(kN, lo.front());
+  Network fused(kN, 11);
+  const std::array<SpreadResult, 2> half = spread_min_max(fused, flat, hi);
+  EXPECT_TRUE(half[0].converged);
+  EXPECT_EQ(half[0].rounds, 0u);
+  EXPECT_EQ(half[0].values, flat);
+  Network solo(kN, 11);
+  const SpreadResult alone = spread_max(solo, hi);
+  EXPECT_EQ(half[1].values, alone.values);
+  EXPECT_EQ(half[1].rounds, alone.rounds);
+  EXPECT_EQ(fused.metrics(), solo.metrics());
+  EXPECT_EQ(fused.metrics().message_bits, alone.rounds * kN * bits);
+}
+
+// The one-component spreads are the C = 1 case of the fused kernel; their
+// round counts and billing are pinned at fixed seeds, failure-free and
+// under message loss.
+TEST(Spread, OneComponentRoundsArePinned) {
+  constexpr std::uint32_t kN = 2000;
+  const auto keys = make_keys(generate_values(Distribution::kGaussian, kN, 13));
+  struct Pin {
+    bool failures;
+    std::uint64_t min_rounds, max_rounds, messages, message_bits;
+  };
+  const Pin pins[] = {{false, 15, 13, 56000, 4816000},
+                      {true, 22, 25, 65646, 5645556}};
+  for (const Pin& pin : pins) {
+    Network net(kN, 301,
+                pin.failures ? FailureModel::uniform(0.3) : FailureModel{});
+    const SpreadResult lo = spread_min(net, keys);
+    const SpreadResult hi = spread_max(net, keys);
+    EXPECT_TRUE(lo.converged && hi.converged);
+    EXPECT_EQ(lo.rounds, pin.min_rounds) << "failures=" << pin.failures;
+    EXPECT_EQ(hi.rounds, pin.max_rounds) << "failures=" << pin.failures;
+    EXPECT_EQ(net.metrics().messages, pin.messages);
+    EXPECT_EQ(net.metrics().message_bits, pin.message_bits);
+  }
 }
 
 TEST(GossipCount, ExactOnAllNodes) {

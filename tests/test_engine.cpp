@@ -5,14 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "agg/rank_count.hpp"
 #include "agg/spread.hpp"
+#include "analysis/rank_stats.hpp"
 #include "baselines/median_rule.hpp"
 #include "core/approx_quantile.hpp"
 #include "core/exact_quantile.hpp"
@@ -327,6 +330,55 @@ TEST(EngineCollectives, SpreadMatchesCore) {
       EXPECT_EQ(par_max.converged, seq_max.converged);
       EXPECT_EQ(engine.metrics(), net.metrics())
           << "threads=" << threads << " failures=" << with_failures;
+    }
+  }
+}
+
+// The fused min/max spread: one peer draw per node per round serves both
+// components, and each message bills the components still spreading.  The
+// Engine's row-packed kernel must match the sequential reference on
+// values, per-component rounds, convergence and Metrics at every thread
+// count and shard layout (one shard, a ragged last shard, shards of one
+// node more or less than n), with and without a failure model.
+TEST(EngineCollectives, FusedSpreadMatchesCore) {
+  constexpr std::uint32_t kN = 2000;
+  constexpr std::uint64_t kSeed = 307;
+  const auto lo_keys =
+      make_keys(generate_values(Distribution::kGaussian, kN, 19));
+  const auto hi_keys =
+      make_keys(generate_values(Distribution::kExponential, kN, 23));
+  const std::uint32_t shard_sizes[] = {EngineConfig{}.shard_size, 1000,
+                                       kN - 1, kN + 1};
+
+  for (const bool with_failures : {false, true}) {
+    const FailureModel fm =
+        with_failures ? FailureModel::uniform(0.3) : FailureModel{};
+    Network net(kN, kSeed, fm);
+    const std::array<SpreadResult, 2> seq =
+        spread_min_max(net, lo_keys, hi_keys);
+    ASSERT_TRUE(seq[0].converged && seq[1].converged);
+    EXPECT_EQ(seq[0].values.front(),
+              *std::min_element(lo_keys.begin(), lo_keys.end()));
+    EXPECT_EQ(seq[1].values.front(),
+              *std::max_element(hi_keys.begin(), hi_keys.end()));
+    EXPECT_EQ(net.metrics().rounds, std::max(seq[0].rounds, seq[1].rounds));
+
+    for (unsigned threads : kThreadCounts) {
+      for (const std::uint32_t shard_size : shard_sizes) {
+        Engine engine(kN, kSeed, fm,
+                      EngineConfig{.threads = threads,
+                                   .shard_size = shard_size});
+        const std::array<SpreadResult, 2> par =
+            spread_min_max(engine, lo_keys, hi_keys);
+        for (std::size_t c = 0; c < 2; ++c) {
+          EXPECT_EQ(par[c].values, seq[c].values) << "component " << c;
+          EXPECT_EQ(par[c].rounds, seq[c].rounds) << "component " << c;
+          EXPECT_EQ(par[c].converged, seq[c].converged) << "component " << c;
+        }
+        EXPECT_EQ(engine.metrics(), net.metrics())
+            << "threads=" << threads << " shard_size=" << shard_size
+            << " failures=" << with_failures;
+      }
     }
   }
 }
@@ -652,6 +704,35 @@ TEST(EnginePipelines, ExactDuplicationRouteMatchesCore) {
     EXPECT_EQ(par.endgame_phases, seq.endgame_phases);
     EXPECT_EQ(par.rounds, seq.rounds);
     EXPECT_EQ(engine.metrics(), net.metrics()) << "threads=" << threads;
+  }
+}
+
+// Exact-quantile rounds at n = 2^14, pinned on both executors.  Each
+// bracketing iteration runs both brackets as one two-lane batch and
+// spreads their extremes in one fused diffusion; a regression to one
+// approximate run and one spread per bracket shows here as a round-count
+// change.  With one approximate run and one spread per bracket these runs
+// took 1513 rounds (phi = 0.5) and 1505 rounds (phi = 0.99).
+TEST(EnginePipelines, ExactRoundsArePinnedOnBothExecutors) {
+  constexpr std::uint32_t kN = 1 << 14;
+  constexpr std::uint64_t kSeed = 1614;
+  const auto values = generate_values(Distribution::kUniformReal, kN, 1601);
+  const RankScale scale(make_keys(values));
+  const std::pair<double, std::uint64_t> pinned[] = {{0.5, 1051}, {0.99, 1038}};
+
+  for (const auto& [phi, rounds] : pinned) {
+    ExactQuantileParams params;
+    params.phi = phi;
+    Network net(kN, kSeed);
+    const ExactQuantileResult seq = exact_quantile(net, values, params);
+    EXPECT_EQ(seq.answer.value, scale.exact_quantile(phi).value);
+    EXPECT_EQ(seq.rounds, rounds) << "phi=" << phi;
+
+    Engine engine(kN, kSeed, FailureModel{}, config_for(2));
+    const ExactQuantileResult par = exact_quantile(engine, values, params);
+    EXPECT_EQ(par.answer, seq.answer) << "phi=" << phi;
+    EXPECT_EQ(par.rounds, rounds) << "phi=" << phi;
+    EXPECT_EQ(engine.metrics(), net.metrics()) << "phi=" << phi;
   }
 }
 
