@@ -2,7 +2,6 @@
 
 #include "core/robust_pipeline.hpp"
 #include "util/require.hpp"
-#include "workload/tiebreak.hpp"
 
 namespace gq {
 
@@ -51,12 +50,6 @@ MedianRuleResult median_rule_keys(Network& net, std::span<const Key> keys,
   }
   out.outputs = std::move(cur);
   return out;
-}
-
-MedianRuleResult median_rule(Network& net, std::span<const double> values,
-                             const MedianRuleParams& params) {
-  const std::vector<Key> keys = make_keys(values);
-  return median_rule_keys(net, keys, params);
 }
 
 }  // namespace gq

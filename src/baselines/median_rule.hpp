@@ -8,9 +8,9 @@
 //
 // Provided as a baseline so bench_dynamics can show what the paper's
 // 2-TOURNAMENT shift + scheduled 3-TOURNAMENT add on top of raw dynamics.
-// These Network overloads are the reference oracle of the Engine's batched
-// median_rule kernel (engine/kernels.hpp), which must match them bit for
-// bit in outputs, rounds and Metrics.
+// The Network median_rule_keys is the reference oracle of the Engine's
+// batched kernel (engine/kernels.hpp), which must match it bit for bit in
+// outputs, rounds and Metrics; the `values` form is one template over both.
 //
 // Round rule, shared by both executors: each iteration is two pull rounds
 // reading the iteration-start snapshot.  A node whose first pull fails
@@ -20,12 +20,14 @@
 #pragma once
 
 #include <bit>
+#include <concepts>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "sim/key.hpp"
 #include "sim/network.hpp"
+#include "workload/tiebreak.hpp"
 
 namespace gq {
 
@@ -51,12 +53,17 @@ struct MedianRuleResult {
   std::uint64_t rounds = 0;
 };
 
-[[nodiscard]] MedianRuleResult median_rule(Network& net,
-                                           std::span<const double> values,
-                                           const MedianRuleParams& params);
-
 [[nodiscard]] MedianRuleResult median_rule_keys(Network& net,
                                                 std::span<const Key> keys,
                                                 const MedianRuleParams& params);
+
+// `values[v]` is node v's input; runs the executor's median_rule_keys.
+template <std::derived_from<RoundCore> Ex>
+[[nodiscard]] MedianRuleResult median_rule(Ex& ex,
+                                           std::span<const double> values,
+                                           const MedianRuleParams& params) {
+  const std::vector<Key> keys = make_keys(values);
+  return median_rule_keys(ex, keys, params);
+}
 
 }  // namespace gq

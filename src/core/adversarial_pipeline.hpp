@@ -1,5 +1,5 @@
-// Executor-independent control flow of the adversarially-robust quantile
-// and mean protocols (arXiv 2502.15320, Haeupler-Kaufmann-Ravi).
+// The adversarially-robust quantile and mean protocols (arXiv 2502.15320,
+// Haeupler-Kaufmann-Ravi), written once over the executor.
 //
 // The Section-5 robust tournaments survive an *oblivious* failure model by
 // oversampling: fan out enough pulls that two good ones arrive w.h.p.  An
@@ -23,35 +23,37 @@
 // corruption exposure) computed from the Metrics deltas, so callers can see
 // how much adversarial pressure the run absorbed.
 //
-// Shared-control-flow pattern (core/exact_pipeline.hpp precedent): ONE
-// template per pipeline takes the executor itself — core/adversarial.cpp
-// instantiates it over the sequential Network, engine/adversarial_kernels.cpp
-// over the parallel Engine.  The per-node fold (fault application, delay
-// mailbox, group filtering, commit rules) lives here as plain functions run
-// inside the executor's parallel_shards, so the two paths cannot drift:
-// bit-identity at 1/2/8 threads is pinned by tests/test_adversary.cpp.
+// ONE template per pipeline takes the executor itself: the public entry
+// points below, instantiated for the sequential Network
+// (core/pipelines.cpp) and the parallel Engine (engine/adversarial.cpp).
+// The per-node fold (fault application, delay mailbox, group filtering,
+// commit rules) lives here as plain functions run inside the executor's
+// parallel_shards, with per-shard Metrics folded in shard order — the
+// same fragments, in the same node order, as the Network's one-shard
+// parallel_shards — so the two paths cannot drift: bit-identity at 1/2/8
+// threads is pinned by tests/test_adversary.cpp.
 //
 // An executor `ex` must provide the RoundCore accessors and round counter
-// (size, seed, round, metrics, failures, adversary, begin_round),
-// parallel_shards(fn) with per-shard Metrics folded in shard order
-// (Network: one shard), and the re-entry overload for the mean pipeline's
-// clip-bound sub-runs:
-//   AdversarialQuantileResult adversarial_quantile_keys(
-//       ex, span<const Key>, const AdversarialQuantileParams&);
+// (size, seed, round, metrics, failures, adversary, begin_round) and
+// parallel_shards(fn).
 //
 // Unlike the interned robust kernels (engine/kernels.cpp), these pipelines
-// run on plain Key buffers on the Engine too: corrupt payloads are
-// arbitrary values the intern table has never seen, so a rank-lane
-// representation cannot hold them.
+// run on plain Key buffers on the Engine too: a corrupt fault injects an
+// arbitrary payload the intern table has never seen, so a rank-lane
+// representation cannot hold it.  The per-node scratch (filter groups,
+// delay mailbox) is fixed-capacity stack storage inside the fold: no
+// pooled state, no allocation inside the parallel sections.
 #pragma once
 
 #include <algorithm>
 #include <array>
+#include <concepts>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "analysis/recurrences.hpp"
+#include "core/adversarial.hpp"
 #include "core/robust_pipeline.hpp"  // robust_detail::median3
 #include "core/two_tournament.hpp"   // tournament_side, TournamentSide
 #include "sim/adversary.hpp"
@@ -60,117 +62,12 @@
 #include "sim/streams.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/require.hpp"
+#include "workload/tiebreak.hpp"
 
 namespace gq {
 
-// How much adversarial pressure a pipeline run absorbed, and whether it
-// still served enough of the network.  Computed from Metrics deltas, so it
-// is part of the bit-identical transcript (differential tests compare it).
-struct QualityReport {
-  double served_fraction = 1.0;        // valid nodes / n
-  std::uint64_t messages_total = 0;    // messages billed during the run
-  std::uint64_t messages_dropped = 0;  // destroyed by the adversary
-  std::uint64_t messages_corrupted = 0;
-  std::uint64_t messages_delayed = 0;
-  std::uint64_t failed_operations = 0;  // oblivious-model losses
-  // (dropped + corrupted + delayed) / total: the fraction of traffic the
-  // adversary touched.  An upper bound on its influence — filtering keeps
-  // the *effective* influence far lower.
-  double corruption_exposure = 0.0;
-
-  // The thresholds this run was judged against, copied from the params so
-  // the single acceptance predicate below travels with the report.
-  double min_served_fraction = 0.0;
-  double max_corruption_exposure = 1.0;
-
-  // THE acceptance predicate: enough of the network served AND the
-  // adversary touched an acceptable fraction of traffic.  Callers (service
-  // supervisor, tests, examples) must use this instead of re-deriving
-  // their own thresholds.
-  [[nodiscard]] bool ok() const noexcept {
-    return served_fraction >= min_served_fraction &&
-           corruption_exposure <= max_corruption_exposure;
-  }
-
-  friend bool operator==(const QualityReport&, const QualityReport&) = default;
-};
-
-struct AdversarialQuantileParams {
-  double phi = 0.5;  // target quantile in [0,1]
-  double eps = 0.1;  // approximation slack in (0,1/2)
-
-  // g: every tournament sample becomes the median of a group of g pulls.
-  // The adversary must corrupt a majority of a group to move one filtered
-  // sample.  Forced odd; must stay <= kMaxFilterGroup.
-  std::uint32_t filter_group = 3;
-
-  // K in the final step: number of *filtered* samples collected before
-  // emitting their median; a node is served iff a majority of its K groups
-  // produced a sample.  Forced odd; must stay <= kMaxFinalSamples.
-  std::uint32_t final_sample_size = 9;
-
-  // Delta-truncation of the last 2-TOURNAMENT iteration (Lemma 2.4 of the
-  // base paper; unchanged by filtering).
-  bool truncate_last = true;
-
-  // Acceptance thresholds recorded into QualityReport (see ok()): minimum
-  // served fraction, and maximum fraction of traffic the adversary may
-  // have touched.
-  double min_served_fraction = 0.5;
-  double max_corruption_exposure = 1.0;
-};
-
-struct AdversarialQuantileResult {
-  std::vector<Key> outputs;  // per-node answer (meaningful iff valid)
-  std::vector<bool> valid;   // served nodes
-  std::size_t phase1_iterations = 0;
-  std::size_t phase2_iterations = 0;
-  std::uint64_t rounds = 0;
-  QualityReport quality;
-
-  [[nodiscard]] std::size_t served_nodes() const {
-    return static_cast<std::size_t>(
-        std::count(valid.begin(), valid.end(), true));
-  }
-};
-
-struct AdversarialMeanParams {
-  // Clip bounds come from two adversarial quantile runs at these targets;
-  // the clip interval is [q_lo - pad, q_hi + pad] with pad = q_hi - q_lo
-  // (an IQR-padded interval for the defaults).
-  double clip_lo_phi = 0.25;
-  double clip_hi_phi = 0.75;
-  double quantile_eps = 0.15;
-  std::uint32_t filter_group = 3;      // g of the quantile sub-runs
-  std::uint32_t final_sample_size = 9;  // K of the quantile sub-runs
-
-  // Sampling phase: rounds of clip-bounded value pulls averaged per node.
-  // Must stay <= kMaxMeanRounds.
-  std::uint32_t mean_sample_rounds = 48;
-
-  double min_served_fraction = 0.5;
-  double max_corruption_exposure = 1.0;
-};
-
-struct AdversarialMeanResult {
-  std::vector<double> estimates;  // per-node mean estimate (iff valid)
-  std::vector<bool> valid;
-  std::uint64_t rounds = 0;
-  QualityReport quality;
-
-  [[nodiscard]] std::size_t served_nodes() const {
-    return static_cast<std::size_t>(
-        std::count(valid.begin(), valid.end(), true));
-  }
-};
-
 namespace adversary_detail {
 
-// Compile-time caps sizing the per-node stack scratch of the fold below.
-// GQ_REQUIREd against the params at pipeline entry.
-inline constexpr std::uint32_t kMaxFilterGroup = 9;
-inline constexpr std::uint32_t kMaxFinalSamples = 31;
-inline constexpr std::uint32_t kMaxMeanRounds = 512;
 // Largest fused pull block: the final step's K groups of g pulls each.
 inline constexpr std::uint32_t kMaxBlockPulls =
     std::max(kMaxFinalSamples * kMaxFilterGroup, kMaxMeanRounds);
@@ -523,9 +420,11 @@ inline void final_filtered_median(Executor& ex, std::vector<Key>& state,
   for (std::uint32_t v = 0; v < n; ++v) valid[v] = valid8[v] != 0;
 }
 
-template <typename Executor>
-AdversarialQuantileResult adversarial_quantile_impl(
-    Executor& ex, std::span<const Key> keys,
+}  // namespace adversary_detail
+
+template <std::derived_from<RoundCore> Ex>
+AdversarialQuantileResult adversarial_quantile_keys(
+    Ex& ex, std::span<const Key> keys,
     const AdversarialQuantileParams& params) {
   GQ_SPAN("pipeline/adversarial_quantile");
   const std::uint32_t n = ex.size();
@@ -535,11 +434,12 @@ AdversarialQuantileResult adversarial_quantile_impl(
   GQ_REQUIRE(params.eps > 0.0 && params.eps < 0.5,
              "eps must lie in (0, 1/2)");
   GQ_REQUIRE(params.filter_group >= 1 &&
-                 params.filter_group <= kMaxFilterGroup,
+                 params.filter_group <= adversary_detail::kMaxFilterGroup,
              "filter group size out of range");
-  GQ_REQUIRE(params.final_sample_size >= 1 &&
-                 params.final_sample_size <= kMaxFinalSamples,
-             "final sample size out of range");
+  GQ_REQUIRE(
+      params.final_sample_size >= 1 &&
+          params.final_sample_size <= adversary_detail::kMaxFinalSamples,
+      "final sample size out of range");
   const std::uint32_t g = params.filter_group | 1u;   // force odd
   const std::uint32_t k = params.final_sample_size | 1u;
 
@@ -556,7 +456,8 @@ AdversarialQuantileResult adversarial_quantile_impl(
       two_tournament_schedule(start, params.eps);
   for (std::size_t iter = 0; iter < schedule.iterations(); ++iter) {
     const double delta = params.truncate_last ? schedule.delta[iter] : 1.0;
-    filtered_two_iteration(ex, state, next, g, delta, suppress_high);
+    adversary_detail::filtered_two_iteration(ex, state, next, g, delta,
+                                             suppress_high);
     ++result.phase1_iterations;
   }
 
@@ -564,34 +465,40 @@ AdversarialQuantileResult adversarial_quantile_impl(
   const ThreeTournamentSchedule schedule3 =
       three_tournament_schedule(params.eps / 4.0, n);
   for (std::size_t iter = 0; iter < schedule3.iterations(); ++iter) {
-    filtered_three_iteration(ex, state, next, g);
+    adversary_detail::filtered_three_iteration(ex, state, next, g);
     ++result.phase2_iterations;
   }
 
-  final_filtered_median(ex, state, g, k, result.outputs, result.valid);
+  adversary_detail::final_filtered_median(ex, state, g, k, result.outputs,
+                                          result.valid);
 
   const Metrics delta = ex.metrics().since(before);
   result.rounds = delta.rounds;
-  result.quality = make_quality(delta, result.served_nodes(), n,
-                                params.min_served_fraction,
-                                params.max_corruption_exposure);
+  result.quality = adversary_detail::make_quality(
+      delta, result.served_nodes(), n, params.min_served_fraction,
+      params.max_corruption_exposure);
   return result;
 }
 
-template <typename Executor>
-AdversarialMeanResult adversarial_mean_impl(Executor& ex,
-                                            std::span<const double> values,
-                                            std::span<const Key> keys,
-                                            const AdversarialMeanParams&
-                                                params) {
+template <std::derived_from<RoundCore> Ex>
+AdversarialQuantileResult adversarial_quantile(
+    Ex& ex, std::span<const double> values,
+    const AdversarialQuantileParams& params) {
+  const std::vector<Key> keys = make_keys(values);
+  return adversarial_quantile_keys(ex, keys, params);
+}
+
+template <std::derived_from<RoundCore> Ex>
+AdversarialMeanResult adversarial_mean(Ex& ex, std::span<const double> values,
+                                       const AdversarialMeanParams& params) {
+  const std::vector<Key> keys = make_keys(values);
   GQ_SPAN("pipeline/adversarial_mean");
   const std::uint32_t n = ex.size();
-  GQ_REQUIRE(values.size() == n && keys.size() == n,
-             "one value per node required");
+  GQ_REQUIRE(values.size() == n, "one value per node required");
   GQ_REQUIRE(params.clip_lo_phi < params.clip_hi_phi,
              "clip quantiles must be ordered");
   GQ_REQUIRE(params.mean_sample_rounds >= 1 &&
-                 params.mean_sample_rounds <= kMaxMeanRounds,
+                 params.mean_sample_rounds <= adversary_detail::kMaxMeanRounds,
              "mean sample rounds out of range");
 
   const Metrics before = ex.metrics();
@@ -636,8 +543,8 @@ AdversarialMeanResult adversarial_mean_impl(Executor& ex,
   const std::uint64_t base = ex.round() + 1;
   {
     GQ_SPAN("adversarial/mean_samples");
-    observe_block(ex, base, rounds, {}, values);
-    advance_rounds(ex, rounds);
+    adversary_detail::observe_block(ex, base, rounds, {}, values);
+    adversary_detail::advance_rounds(ex, rounds);
   }
   result.estimates.assign(n, 0.0);
   std::vector<std::uint8_t> valid8(n, 0);
@@ -654,23 +561,25 @@ AdversarialMeanResult adversarial_mean_impl(Executor& ex,
           std::uint32_t count = 0;
           const double lo = clip_lo[v];
           const double hi = clip_hi[v];
-          const std::uint64_t sent = walk_faulted_pulls<double>(
-              seed, base, rounds, v, n, failures, adversary,
-              [&](std::uint32_t, std::uint32_t peer) {
-                return value_data[peer];
-              },
-              [&](double injected) { return injected; },
-              [&](std::uint32_t, double payload) {
-                sum += std::clamp(payload, lo, hi);
-                ++count;
-              },
-              local);
+          const std::uint64_t sent =
+              adversary_detail::walk_faulted_pulls<double>(
+                  seed, base, rounds, v, n, failures, adversary,
+                  [&](std::uint32_t, std::uint32_t peer) {
+                    return value_data[peer];
+                  },
+                  [&](double injected) { return injected; },
+                  [&](std::uint32_t, double payload) {
+                    sum += std::clamp(payload, lo, hi);
+                    ++count;
+                  },
+                  local);
           // A mean sample is one value word; bill it at the 64-bit payload size
           // rather than the tagged key size.
           local.record_messages(sent, 64);
           // Same serving rule as the quantile's final step: down at the end of
           // the sampling block means unserved.
-          const bool down_at_end = node_down(adversary, v, base + rounds - 1);
+          const bool down_at_end = adversary_detail::node_down(
+              adversary, v, base + rounds - 1);
           if (!down_at_end && clip_ok[v] && count >= min_count) {
             estimate_data[v] = sum / static_cast<double>(count);
             valid8[v] = 1;
@@ -682,11 +591,10 @@ AdversarialMeanResult adversarial_mean_impl(Executor& ex,
 
   const Metrics delta = ex.metrics().since(before);
   result.rounds = delta.rounds;
-  result.quality = make_quality(delta, result.served_nodes(), n,
-                                params.min_served_fraction,
-                                params.max_corruption_exposure);
+  result.quality = adversary_detail::make_quality(
+      delta, result.served_nodes(), n, params.min_served_fraction,
+      params.max_corruption_exposure);
   return result;
 }
 
-}  // namespace adversary_detail
 }  // namespace gq

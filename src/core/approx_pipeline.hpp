@@ -1,17 +1,15 @@
-// The executor-independent control flow of the approximate quantile
-// pipeline (Theorems 1.2 / 2.1, plus the Section-5 robust route).
+// The approximate quantile pipeline (Theorems 1.2 / 2.1, plus the
+// Section-5 robust route), written once over the executor.
 //
 // The eps-floor fallback decision, the Lemma-2.11 phase2_eps choice, the
 // failure-free vs robust routing, and the coverage call are all observable
 // in outputs, round counts, and Metrics, so the sequential Network and the
-// parallel Engine execute ONE copy of this logic (the same pattern as
-// core/exact_pipeline.hpp and core/own_rank.hpp): approx_quantile_keys_impl
-// takes the executor and calls its overloads directly.
+// parallel Engine execute ONE copy of this logic: approx_quantile_keys
+// below is the public entry point itself, instantiated for both executors
+// (core/pipelines.cpp, engine/pipelines.cpp).
 //
-// An executor `ex` must provide size(), metrics(), faultless() (RoundCore)
-// and these overloads:
-//   ExactQuantileResult exact_quantile_keys(ex, span<const Key>,
-//                                           const ExactQuantileParams&);
+// Besides the RoundCore accessors it calls, per executor, only the steps
+// that are really different code, each reached by overload resolution:
 //   TournamentRun failure_free_tournament(ex, span<const Key>,
 //                                         const ApproxQuantileParams&,
 //                                         double phase2_eps);
@@ -20,37 +18,40 @@
 //   RobustThreeTournamentOutcome robust_three_tournament(ex, state, good,
 //                                                        eps, k);
 //   uint64_t robust_coverage(ex, outputs, valid, t);
+// (Network's in core/approx_quantile.cpp and core/robust.hpp, Engine's in
+// engine/pipelines.cpp and engine/kernels.hpp), plus the generic
+// exact_quantile_keys for the eps-floor fallback.
 //
 // The failure-free tournament (Phase 1, Phase 2, final sample) is the one
-// step each executor runs on its own representation, hence the two
-// failure_free_tournament overloads declared below: Network chains
+// step each executor runs on its own representation: Network chains
 // core/two_tournament and core/three_tournament (the reference oracle, as
-// written in the paper; core/approx_quantile.cpp); Engine drives the
-// shared-schedule q-lane kernels with one lane
-// (multi_detail::run_shared_schedule; engine/pipelines.cpp), never
-// exporting state between the phases.  Both attribute time to the
-// ApproxPhaseSpans names.
+// written in the paper); Engine drives the shared-schedule q-lane kernels
+// with one lane (multi_detail::run_shared_schedule), never exporting state
+// between the phases.  Both attribute time to the ApproxPhaseSpans names.
 //
 // Bit-identity of the two instantiations is pinned by tests/test_engine.cpp
 // and tests/test_engine_robust.cpp.
 #pragma once
 
+#include <concepts>
 #include <cstddef>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "analysis/theory_bounds.hpp"
+#include "core/approx_quantile.hpp"
+#include "core/exact_quantile.hpp"
 #include "core/params.hpp"
 #include "core/result.hpp"
 #include "sim/key.hpp"
 #include "sim/metrics.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/require.hpp"
+#include "workload/tiebreak.hpp"
 
 namespace gq {
 
-class Network;
 class Engine;
 
 namespace approx_detail {
@@ -76,10 +77,11 @@ TournamentRun failure_free_tournament(Engine& engine,
                                       const ApproxQuantileParams& params,
                                       double phase2_eps);
 
-template <typename Executor>
-ApproxQuantileResult approx_quantile_keys_impl(
-    Executor& ex, std::span<const Key> keys,
-    const ApproxQuantileParams& params) {
+}  // namespace approx_detail
+
+template <std::derived_from<RoundCore> Ex>
+ApproxQuantileResult approx_quantile_keys(Ex& ex, std::span<const Key> keys,
+                                          const ApproxQuantileParams& params) {
   const std::uint32_t n = ex.size();
   GQ_REQUIRE(keys.size() == n, "one key per node required");
   GQ_REQUIRE(params.phi >= 0.0 && params.phi <= 1.0, "phi must lie in [0,1]");
@@ -113,7 +115,8 @@ ApproxQuantileResult approx_quantile_keys_impl(
   const double phase2_eps = params.eps / 4.0;
 
   if (ex.faultless()) {
-    TournamentRun run = failure_free_tournament(ex, keys, params, phase2_eps);
+    approx_detail::TournamentRun run =
+        approx_detail::failure_free_tournament(ex, keys, params, phase2_eps);
     out.phase1_iterations = run.phase1_iterations;
     out.phase2_iterations = run.phase2_iterations;
     out.outputs = std::move(run.outputs);
@@ -145,5 +148,11 @@ ApproxQuantileResult approx_quantile_keys_impl(
   return out;
 }
 
-}  // namespace approx_detail
+template <std::derived_from<RoundCore> Ex>
+ApproxQuantileResult approx_quantile(Ex& ex, std::span<const double> values,
+                                     const ApproxQuantileParams& params) {
+  const std::vector<Key> keys = make_keys(values);
+  return approx_quantile_keys(ex, keys, params);
+}
+
 }  // namespace gq

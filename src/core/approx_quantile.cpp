@@ -1,13 +1,8 @@
-#include "core/approx_quantile.hpp"
-
 #include <utility>
 
 #include "core/approx_pipeline.hpp"
-#include "core/exact_quantile.hpp"
-#include "core/robust.hpp"
 #include "core/three_tournament.hpp"
 #include "core/two_tournament.hpp"
-#include "workload/tiebreak.hpp"
 
 namespace gq {
 
@@ -31,19 +26,6 @@ approx_detail::TournamentRun approx_detail::failure_free_tournament(
   run.phase2_iterations = p2.iterations;
   run.outputs = std::move(p2.outputs);
   return run;
-}
-
-ApproxQuantileResult approx_quantile_keys(Network& net,
-                                          std::span<const Key> keys,
-                                          const ApproxQuantileParams& params) {
-  return approx_detail::approx_quantile_keys_impl(net, keys, params);
-}
-
-ApproxQuantileResult approx_quantile(Network& net,
-                                     std::span<const double> values,
-                                     const ApproxQuantileParams& params) {
-  const std::vector<Key> keys = make_keys(values);
-  return approx_quantile_keys(net, keys, params);
 }
 
 }  // namespace gq

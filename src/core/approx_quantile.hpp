@@ -18,6 +18,7 @@
 // after t coverage rounds, per Theorem 1.4).
 #pragma once
 
+#include <concepts>
 #include <span>
 
 #include "core/params.hpp"
@@ -26,15 +27,20 @@
 
 namespace gq {
 
+// The entry points are templates over the executor — the sequential
+// Network or the parallel Engine, bit-identical to each other — defined
+// once in core/approx_pipeline.hpp and instantiated for both.
+
 // Public entry point: `values[v]` is node v's input.
+template <std::derived_from<RoundCore> Ex>
 [[nodiscard]] ApproxQuantileResult approx_quantile(
-    Network& net, std::span<const double> values,
+    Ex& ex, std::span<const double> values,
     const ApproxQuantileParams& params);
 
 // Key-level entry point used by the exact algorithm and by compositions
 // that already operate on tie-broken instances.
+template <std::derived_from<RoundCore> Ex>
 [[nodiscard]] ApproxQuantileResult approx_quantile_keys(
-    Network& net, std::span<const Key> keys,
-    const ApproxQuantileParams& params);
+    Ex& ex, std::span<const Key> keys, const ApproxQuantileParams& params);
 
 }  // namespace gq

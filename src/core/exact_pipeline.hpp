@@ -1,12 +1,12 @@
-// The executor-independent control flow of Algorithm 3 (exact quantile).
+// Algorithm 3 (exact quantile), written once over the executor.
 //
 // Every branch of the bracketing bookkeeping is observable in round counts
 // and Metrics, so the sequential Network and the parallel Engine run ONE
-// copy of it: the templates below take the executor itself and call its
-// overloads of each gossip substrate directly, resolved by overload at
-// instantiation (core/exact_quantile.cpp for Network, engine/pipelines.cpp
-// for Engine).  Bit-identity of the two paths then reduces to bit-identity
-// of each primitive, which tests/test_engine.cpp pins kernel by kernel.
+// copy of it: exact_quantile_keys below is the public entry point itself,
+// instantiated for both executors (core/pipelines.cpp,
+// engine/pipelines.cpp).  Bit-identity of the two paths then reduces to
+// bit-identity of each primitive, which tests/test_engine.cpp pins kernel
+// by kernel.
 //
 // Each bracketing iteration pays for one diffusion per step: both brackets
 // (phi = k/n -/+ s) ride one multi_quantile_keys batch, whose failure-free
@@ -14,13 +14,12 @@
 // lower bracket's min and the upper bracket's max spread in one fused
 // diffusion (spread_min_max).
 //
-// An executor `ex` must derive from RoundCore (size, seed, round, metrics,
-// failures, begin_round, node_stream, node_fails), provide
-// parallel_shards(fn), and provide these overloads:
-//   ApproxQuantileResult approx_quantile_keys(ex, span<const Key>,
-//                                             const ApproxQuantileParams&);
-//   MultiQuantileResult multi_quantile_keys(ex, span<const Key>,
-//                                           const MultiQuantileParams&);
+// An executor `ex` derives from RoundCore and provides parallel_shards(fn).
+// The composed steps it calls are themselves generic: the approx and multi
+// pipelines, and the collectives spread_min/spread_max/spread_min_max,
+// gossip_count/gossip_rank/gossip_count3 and sample_uniform_candidate
+// (agg/spread.hpp, agg/rank_count.hpp, core/pivot.hpp).  Per executor it
+// supplies only the kernels under them, reached by overload resolution:
 //   array<GenericSpreadResult<T>, C> spread_best(
 //       ex, const array<span<const T>, C>&, const array<Less, C>&,
 //       uint64_t bits_per_component, uint64_t max_rounds);   // C = 1, 2
@@ -28,17 +27,14 @@
 //       ex, span<const array<double, D>>, uint64_t rounds);   // D = 1, 3
 //   TokenSplitResult token_split_distribute(ex, span<const Key>,
 //                                           uint64_t m, uint64_t tag);
-// (Network's live in agg/, core/token_split, core/approx_quantile and
-// core/multi_quantile; Engine's in engine/pipelines.hpp.)  The collectives
-// the pipeline calls — spread_min/spread_max/spread_min_max,
-// gossip_count/gossip_rank/gossip_count3 and sample_uniform_candidate — are
-// written once over the executor on top of those kernels (agg/spread.hpp,
-// agg/rank_count.hpp, core/pivot.hpp).
+// (Network's in agg/ and core/token_split, Engine's in
+// engine/pipelines.hpp.)
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <concepts>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -50,6 +46,7 @@
 #include "agg/spread.hpp"
 #include "analysis/theory_bounds.hpp"
 #include "core/approx_quantile.hpp"
+#include "core/exact_quantile.hpp"
 #include "core/multi_quantile.hpp"
 #include "core/params.hpp"
 #include "core/pivot.hpp"
@@ -59,8 +56,10 @@
 #include "sim/metrics.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/require.hpp"
+#include "workload/tiebreak.hpp"
 
-namespace gq::exact_detail {
+namespace gq {
+namespace exact_detail {
 
 // Structured throw-site context for ExactPipelineError: which run (seed, n)
 // aborted, where (phase label), and when.  The round is the executor's
@@ -401,12 +400,13 @@ PipelineOutcome run_pipeline(Executor& ex, std::span<const Key> keys,
   }
 }
 
+}  // namespace exact_detail
+
 // The full entry point: pipeline, verification against the original input,
 // and the w.h.p.-never retry loop.
-template <typename Executor>
-ExactQuantileResult exact_quantile_keys_impl(
-    Executor& ex, std::span<const Key> keys,
-    const ExactQuantileParams& params) {
+template <std::derived_from<RoundCore> Ex>
+ExactQuantileResult exact_quantile_keys(Ex& ex, std::span<const Key> keys,
+                                        const ExactQuantileParams& params) {
   const std::uint32_t n = ex.size();
   GQ_REQUIRE(keys.size() == n, "one key per node required");
   GQ_REQUIRE(params.phi >= 0.0 && params.phi <= 1.0, "phi must lie in [0,1]");
@@ -419,7 +419,8 @@ ExactQuantileResult exact_quantile_keys_impl(
 
   constexpr int kMaxAttempts = 3;
   for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-    const PipelineOutcome pipe = run_pipeline(ex, keys, params);
+    const exact_detail::PipelineOutcome pipe =
+        exact_detail::run_pipeline(ex, keys, params);
 
     // Verification: the answer's rank among the ORIGINAL keys must be
     // exactly k0.  The probe's maximal tag matches every duplication copy
@@ -444,7 +445,14 @@ ExactQuantileResult exact_quantile_keys_impl(
   throw ExactPipelineError(
       ExactPipelineError::Kind::kVerificationFailed,
       "exact_quantile failed verification after repeated attempts",
-      abort_context(ex, "verification"));
+      exact_detail::abort_context(ex, "verification"));
 }
 
-}  // namespace gq::exact_detail
+template <std::derived_from<RoundCore> Ex>
+ExactQuantileResult exact_quantile(Ex& ex, std::span<const double> values,
+                                   const ExactQuantileParams& params) {
+  const std::vector<Key> keys = make_keys(values);
+  return exact_quantile_keys(ex, keys, params);
+}
+
+}  // namespace gq

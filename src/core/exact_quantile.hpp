@@ -17,7 +17,7 @@
 // the final approximation window, a single approximate query returns the
 // answer at every node [Step 10].
 //
-// Deviations from the paper, recorded in DESIGN.md:
+// Deviations from the paper:
 //   * termination is adaptive (block coverage) instead of a fixed 25
 //     iterations, whose constants only close at astronomical n;
 //   * both bracket ranks are counted exactly, which makes the bracketing
@@ -33,6 +33,7 @@
 // robust Theorem 1.4 claim as well.
 #pragma once
 
+#include <concepts>
 #include <span>
 
 #include "core/params.hpp"
@@ -41,14 +42,18 @@
 
 namespace gq {
 
+// The entry points are templates over the executor (Network or Engine),
+// defined once in core/exact_pipeline.hpp and instantiated for both.
+
 // Public entry point: `values[v]` is node v's input.
+template <std::derived_from<RoundCore> Ex>
 [[nodiscard]] ExactQuantileResult exact_quantile(
-    Network& net, std::span<const double> values,
+    Ex& ex, std::span<const double> values,
     const ExactQuantileParams& params);
 
 // Key-level entry point for callers operating on tie-broken instances.
+template <std::derived_from<RoundCore> Ex>
 [[nodiscard]] ExactQuantileResult exact_quantile_keys(
-    Network& net, std::span<const Key> keys,
-    const ExactQuantileParams& params);
+    Ex& ex, std::span<const Key> keys, const ExactQuantileParams& params);
 
 }  // namespace gq

@@ -1,11 +1,13 @@
-// The executor-independent control flow of the shared-schedule
-// multi-quantile pipeline (Corollary 1.5: all q targets in one gossip run).
+// The shared-schedule multi-quantile pipeline (Corollary 1.5: all q
+// targets in one gossip run), written once over the executor.
 //
 // Same rationale as core/approx_pipeline.hpp: the dedupe, the lane
 // schedules, the per-iteration activity/coin decisions, the shared Phase-2
 // schedule, and the fallback routing are all observable in outputs, round
 // counts, and Metrics, so the sequential Network path and the parallel
-// Engine must execute ONE copy of this logic.
+// Engine must execute ONE copy of this logic: multi_quantile_keys below is
+// the public entry point itself, instantiated for both executors
+// (core/pipelines.cpp, engine/pipelines.cpp).
 //
 // ## The shared schedule
 //
@@ -54,26 +56,25 @@
 // approx_quantile run — still deduped, so duplicated phis never cost extra
 // rounds on either route.
 //
-// The Ops provider supplies the executor-bound phases:
+// The one step each executor runs on its own representation is the
+// shared tournament itself: multi_detail::shared_tournament, one overload
+// per executor (core/multi_quantile.cpp: plain per-lane Key vectors, the
+// reference; engine/pipelines.cpp: the interned q-lane kernels of
+// engine/kernels.hpp), each driving run_shared_schedule with its Ops:
 //
-//   uint32_t size();
-//   const Metrics& metrics();
-//   bool faultless();   // no failure model AND no adversary installed
-//   ApproxQuantileResult approx(span<const Key>, const ApproxQuantileParams&);
 //   void begin(span<const Key> keys, size_t lanes);  // broadcast to lanes
 //   void two_iteration(span<const MultiLaneStep> steps);
 //   void three_iteration();
 //   void final_sample(uint32_t k_samples, vector<vector<Key>>& outputs);
 //
-// Instantiated by core/multi_quantile.cpp (Network) and
-// engine/pipelines.cpp (Engine); bit-identity of the two is pinned by
-// tests/test_engine_multi.cpp at 1/2/8 threads.  The shared-schedule
-// branch is factored out as run_shared_schedule: the Engine's
-// single-target approx pipeline drives it with one lane, so the Engine
-// has exactly one failure-free tournament implementation.
+// Bit-identity of the two is pinned by tests/test_engine_multi.cpp at
+// 1/2/8 threads.  The Engine's single-target approx pipeline drives
+// run_shared_schedule with one lane, so the Engine has exactly one
+// failure-free tournament implementation.
 #pragma once
 
 #include <algorithm>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -90,8 +91,11 @@
 #include "sim/metrics.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/require.hpp"
+#include "workload/tiebreak.hpp"
 
 namespace gq {
+
+class Engine;
 
 // Lane cap of the shared schedule: per-node tournament flags travel as a
 // uint64_t bitmask through the engine kernel, and beyond ~64 lanes the
@@ -154,8 +158,8 @@ SharedRun run_shared_schedule(Ops& ops, std::span<const Key> keys,
     phase1_max = std::max(phase1_max, lane.schedule.iterations());
   }
   // Phase 2's schedule depends only on (eps, n) — identical for every lane.
-  const ThreeTournamentSchedule phase2 =
-      three_tournament_schedule(phase2_eps, ops.size());
+  const ThreeTournamentSchedule phase2 = three_tournament_schedule(
+      phase2_eps, static_cast<std::uint32_t>(keys.size()));
 
   ops.begin(keys, lanes.size());
   {
@@ -183,10 +187,23 @@ SharedRun run_shared_schedule(Ops& ops, std::span<const Key> keys,
   return run;
 }
 
-template <typename Ops>
-MultiQuantileResult multi_quantile_keys_impl(
-    Ops& ops, std::span<const Key> keys, const MultiQuantileParams& params) {
-  const std::uint32_t n = ops.size();
+// The failure-free shared tournament over `lanes` at phase2_eps, attributed
+// to MultiPhaseSpans: run_shared_schedule on each executor's Ops.
+SharedRun shared_tournament(Network& net, std::span<const Key> keys,
+                            std::span<const MultiLaneSpec> lanes,
+                            double phase2_eps,
+                            std::uint32_t final_sample_size);
+SharedRun shared_tournament(Engine& engine, std::span<const Key> keys,
+                            std::span<const MultiLaneSpec> lanes,
+                            double phase2_eps,
+                            std::uint32_t final_sample_size);
+
+}  // namespace multi_detail
+
+template <std::derived_from<RoundCore> Ex>
+MultiQuantileResult multi_quantile_keys(Ex& ex, std::span<const Key> keys,
+                                        const MultiQuantileParams& params) {
+  const std::uint32_t n = ex.size();
   GQ_REQUIRE(keys.size() == n, "one key per node required");
   GQ_REQUIRE(!params.phis.empty(), "at least one quantile target required");
   for (const double phi : params.phis) {
@@ -200,7 +217,7 @@ MultiQuantileResult multi_quantile_keys_impl(
              "final sample size must be positive");
 
   GQ_SPAN("pipeline/multi_quantile");
-  const Metrics before = ops.metrics();
+  const Metrics before = ex.metrics();
 
   // Stable first-appearance dedupe: duplicated targets share one lane (one
   // run on the fallback route), so they cost nothing extra; `slot` maps
@@ -224,7 +241,7 @@ MultiQuantileResult multi_quantile_keys_impl(
   out.unique_targets = unique.size();
   std::vector<ApproxQuantileResult> per_unique(unique.size());
 
-  const bool shared = ops.faultless() &&
+  const bool shared = ex.faultless() &&
                       !(params.eps < eps_tournament_floor(n)) &&
                       unique.size() <= kMaxSharedLanes;
   if (!shared) {
@@ -236,17 +253,17 @@ MultiQuantileResult multi_quantile_keys_impl(
     ap.robust_coverage_rounds = params.robust_coverage_rounds;
     for (std::size_t u = 0; u < unique.size(); ++u) {
       ap.phi = unique[u];
-      per_unique[u] = ops.approx(keys, ap);
+      per_unique[u] = approx_quantile_keys(ex, keys, ap);
     }
   } else {
-    std::vector<MultiLaneSpec> lanes(unique.size());
+    std::vector<multi_detail::MultiLaneSpec> lanes(unique.size());
     for (std::size_t u = 0; u < unique.size(); ++u) {
-      lanes[u] = lane_spec(unique[u], params.eps);
+      lanes[u] = multi_detail::lane_spec(unique[u], params.eps);
     }
     // Lemma 2.11 as in the single-target pipeline: Phase 2 approximates
     // the median of each lane's Phase-1 configuration to eps/4.
-    SharedRun run = run_shared_schedule<MultiPhaseSpans>(
-        ops, keys, lanes, params.eps / 4.0, params.final_sample_size);
+    multi_detail::SharedRun run = multi_detail::shared_tournament(
+        ex, keys, lanes, params.eps / 4.0, params.final_sample_size);
     for (std::size_t u = 0; u < unique.size(); ++u) {
       per_unique[u].outputs = std::move(run.outputs[u]);
       per_unique[u].valid.assign(n, true);
@@ -255,7 +272,7 @@ MultiQuantileResult multi_quantile_keys_impl(
     }
   }
 
-  out.metrics = ops.metrics().since(before);
+  out.metrics = ex.metrics().since(before);
   out.rounds = out.metrics.rounds;
   out.shared_schedule = shared;
   if (shared) {
@@ -274,5 +291,11 @@ MultiQuantileResult multi_quantile_keys_impl(
   return out;
 }
 
-}  // namespace multi_detail
+template <std::derived_from<RoundCore> Ex>
+MultiQuantileResult multi_quantile(Ex& ex, std::span<const double> values,
+                                   const MultiQuantileParams& params) {
+  const std::vector<Key> keys = make_keys(values);
+  return multi_quantile_keys(ex, keys, params);
+}
+
 }  // namespace gq

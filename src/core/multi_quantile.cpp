@@ -1,5 +1,3 @@
-#include "core/multi_quantile.hpp"
-
 #include <algorithm>
 #include <array>
 #include <bit>
@@ -9,12 +7,11 @@
 
 #include "core/multi_pipeline.hpp"
 #include "core/robust_pipeline.hpp"
-#include "workload/tiebreak.hpp"
 
 namespace gq {
 namespace {
 
-// The sequential instantiation of the shared multi-quantile control flow
+// The reference Ops of the shared multi-quantile schedule
 // (core/multi_pipeline.hpp): per-node state is q plain Key vectors, every
 // round is a for-loop over nodes with the iteration-start snapshot copied
 // up front, and the per-node draw order — one shared peer pick per round,
@@ -23,15 +20,6 @@ namespace {
 class NetworkMultiOps {
  public:
   explicit NetworkMultiOps(Network& net) : net_(net) {}
-
-  [[nodiscard]] std::uint32_t size() const { return net_.size(); }
-  [[nodiscard]] const Metrics& metrics() const { return net_.metrics(); }
-  [[nodiscard]] bool faultless() const { return net_.faultless(); }
-
-  ApproxQuantileResult approx(std::span<const Key> keys,
-                              const ApproxQuantileParams& params) {
-    return approx_quantile_keys(net_, keys, params);
-  }
 
   void begin(std::span<const Key> keys, std::size_t lanes) {
     n_ = net_.size();
@@ -155,18 +143,13 @@ class NetworkMultiOps {
 
 }  // namespace
 
-MultiQuantileResult multi_quantile_keys(Network& net,
-                                        std::span<const Key> keys,
-                                        const MultiQuantileParams& params) {
+multi_detail::SharedRun multi_detail::shared_tournament(
+    Network& net, std::span<const Key> keys,
+    std::span<const MultiLaneSpec> lanes, double phase2_eps,
+    std::uint32_t final_sample_size) {
   NetworkMultiOps ops(net);
-  return multi_detail::multi_quantile_keys_impl(ops, keys, params);
-}
-
-MultiQuantileResult multi_quantile(Network& net,
-                                   std::span<const double> values,
-                                   const MultiQuantileParams& params) {
-  const std::vector<Key> keys = make_keys(values);
-  return multi_quantile_keys(net, keys, params);
+  return run_shared_schedule<MultiPhaseSpans>(ops, keys, lanes, phase2_eps,
+                                              final_sample_size);
 }
 
 }  // namespace gq

@@ -10,6 +10,7 @@
 // order, so they never cost extra rounds or bits.
 #pragma once
 
+#include <concepts>
 #include <span>
 #include <vector>
 
@@ -49,11 +50,14 @@ struct MultiQuantileResult {
   }
 };
 
+// Templates over the executor (Network or Engine), defined once in
+// core/multi_pipeline.hpp and instantiated for both.
+template <std::derived_from<RoundCore> Ex>
 [[nodiscard]] MultiQuantileResult multi_quantile(
-    Network& net, std::span<const double> values,
+    Ex& ex, std::span<const double> values,
     const MultiQuantileParams& params);
+template <std::derived_from<RoundCore> Ex>
 [[nodiscard]] MultiQuantileResult multi_quantile_keys(
-    Network& net, std::span<const Key> keys,
-    const MultiQuantileParams& params);
+    Ex& ex, std::span<const Key> keys, const MultiQuantileParams& params);
 
 }  // namespace gq

@@ -14,13 +14,14 @@
 // that.  Below the tournament floor or under a failure model the batch
 // falls back to one approx run per target, exactly as multi_quantile does.
 //
-// own_rank_impl is the one executor-generic copy: the Network overload
-// below and the Engine overload (engine/pipelines.hpp) both instantiate
-// it, so they stay bit-identical (tests/test_engine.cpp).
+// own_rank is one template over the executor, instantiated for Network
+// (core/pipelines.cpp) and Engine (engine/pipelines.cpp), so the two stay
+// bit-identical (tests/test_engine.cpp).
 #pragma once
 
 #include <algorithm>
 #include <cmath>
+#include <concepts>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -33,15 +34,18 @@
 #include "workload/tiebreak.hpp"
 
 namespace gq {
-namespace own_rank_detail {
 
-template <typename Executor>
-OwnRankResult own_rank_impl(Executor& exec, std::span<const double> values,
-                            const OwnRankParams& params) {
-  const std::uint32_t n = exec.size();
+// eps must lie in (0, 1/2) and be at least 2/n: a grid step eps/2 finer
+// than one rank would ask for more than n - 1 targets.
+template <std::derived_from<RoundCore> Ex>
+[[nodiscard]] OwnRankResult own_rank(Ex& ex, std::span<const double> values,
+                                     const OwnRankParams& params) {
+  const std::uint32_t n = ex.size();
   GQ_REQUIRE(values.size() == n, "one value per node required");
   GQ_REQUIRE(params.eps > 0.0 && params.eps < 0.5,
              "eps must lie in (0, 1/2)");
+  GQ_REQUIRE(params.eps * static_cast<double>(n) >= 2.0,
+             "eps must be at least 2/n (grid step eps/2 finer than one rank)");
 
   const std::vector<Key> keys = make_keys(values);
   const double grid = params.eps / 2.0;
@@ -53,7 +57,7 @@ OwnRankResult own_rank_impl(Executor& exec, std::span<const double> values,
   for (std::size_t j = 1; j <= runs; ++j) {
     mp.phis.push_back(std::min(1.0, grid * static_cast<double>(j)));
   }
-  const MultiQuantileResult batch = multi_quantile_keys(exec, keys, mp);
+  const MultiQuantileResult batch = multi_quantile_keys(ex, keys, mp);
 
   OwnRankResult out;
   out.quantile_runs = runs;
@@ -73,14 +77,6 @@ OwnRankResult own_rank_impl(Executor& exec, std::span<const double> values,
         std::min(1.0, (static_cast<double>(below) + 0.5) * grid);
   }
   return out;
-}
-
-}  // namespace own_rank_detail
-
-[[nodiscard]] inline OwnRankResult own_rank(Network& net,
-                                            std::span<const double> values,
-                                            const OwnRankParams& params) {
-  return own_rank_detail::own_rank_impl(net, values, params);
 }
 
 }  // namespace gq

@@ -7,7 +7,7 @@ namespace gq {
 
 struct ApproxQuantileParams {
   double phi = 0.5;  // target quantile in [0,1]
-  double eps = 0.1;  // approximation slack in (0,1)
+  double eps = 0.1;  // approximation slack in (0,1/2)
 
   // K in Algorithm 2's final step: number of values sampled before emitting
   // the median.  Forced odd; Lemma 2.17 needs only O(1).
@@ -30,7 +30,7 @@ struct ApproxQuantileParams {
 };
 
 // How the exact algorithm finishes once bracketing has crushed the
-// candidate set (see DESIGN.md "Deviations"):
+// candidate set (see the deviations listed in core/exact_quantile.hpp):
 //   * kAuto compares the predicted round cost of the paper's duplication
 //     route against the selection endgame and picks the cheaper one — at
 //     practical n the duplication multiplier m is 1-4 (the paper's
@@ -55,7 +55,7 @@ struct ExactQuantileParams {
 
   // Safety cap on bracketing iterations (the paper uses a fixed 25; we
   // terminate adaptively once the duplicated answer block covers the final
-  // approximation window, see DESIGN.md).
+  // approximation window, see the deviations in core/exact_quantile.hpp).
   std::uint32_t max_iterations = 64;
 
   // Cap on selection-endgame phases (only reached for pathological inputs),

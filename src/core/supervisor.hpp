@@ -33,7 +33,8 @@
 #include <utility>
 #include <vector>
 
-#include "core/adversarial_pipeline.hpp"
+#include "core/adversarial.hpp"
+#include "core/exact_quantile.hpp"
 #include "core/params.hpp"
 #include "core/result.hpp"
 #include "sim/streams.hpp"
@@ -244,12 +245,10 @@ SupervisedRun<Result> supervise(const SupervisorPolicy& policy,
 
 // ---- executor instantiations ---------------------------------------------
 //
-// Both Network and Engine expose reset_stream(seed), so one template covers
-// the two; the pipeline entry points resolve by argument-dependent lookup
-// (core/adversarial.hpp for Network, engine/pipelines.hpp for Engine —
-// include the one matching your executor).  Each attempt rebases the
-// executor onto the plan seed, so attempt 0 on a fresh executor is the
-// bare pipeline run, bit for bit.
+// Both Network and Engine expose reset_stream(seed), and the pipeline entry
+// points are themselves templates over the executor, so one template
+// covers the two.  Each attempt rebases the executor onto the plan seed, so
+// attempt 0 on a fresh executor is the bare pipeline run, bit for bit.
 
 template <typename Executor>
 SupervisedRun<AdversarialQuantileResult> supervised_adversarial_quantile_keys(

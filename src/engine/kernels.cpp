@@ -11,7 +11,6 @@
 #include "sim/streams.hpp"
 #include "util/prefetch.hpp"
 #include "util/require.hpp"
-#include "workload/tiebreak.hpp"
 
 namespace gq {
 namespace {
@@ -295,12 +294,6 @@ MedianRuleResult median_rule_keys(Engine& engine, std::span<const Key> keys,
       out.iterations, key_bits(n));
   if (live != out.outputs.data()) out.outputs.swap(spare);
   return out;
-}
-
-MedianRuleResult median_rule(Engine& engine, std::span<const double> values,
-                             const MedianRuleParams& params) {
-  const std::vector<Key> keys = make_keys(values);
-  return median_rule_keys(engine, keys, params);
 }
 
 // ---- shared-schedule multi-quantile kernels --------------------------------

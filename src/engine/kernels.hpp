@@ -77,15 +77,12 @@
 namespace gq {
 
 // The [DGM+11] median rule as a batched kernel; see baselines/median_rule.hpp
-// for the round rule.  Same iteration default, same key_bits(n) messages,
-// and bit-identical outputs, rounds and Metrics to the Network overloads
-// for the same (seed, failure model).
+// for the round rule and the `values` form.  Same iteration default, same
+// key_bits(n) messages, and bit-identical outputs, rounds and Metrics to the
+// Network reference for the same (seed, failure model).
 [[nodiscard]] MedianRuleResult median_rule_keys(Engine& engine,
                                                 std::span<const Key> keys,
                                                 const MedianRuleParams& params);
-[[nodiscard]] MedianRuleResult median_rule(Engine& engine,
-                                           std::span<const double> values,
-                                           const MedianRuleParams& params);
 
 // Algorithm 1 (2-TOURNAMENT) on the engine; see core/two_tournament.hpp.
 // A q = 1 driver over the multi-lane kernels; writes the final
@@ -132,10 +129,10 @@ std::uint64_t robust_coverage(Engine& engine, std::vector<Key>& outputs,
 //
 // Failure-free only: the shared control flow routes robust runs through
 // per-target robust pipelines (see core/multi_pipeline.hpp).  Driven by
-// engine/pipelines.cpp through the shared template (for multi_quantile,
-// and with one lane for approx_quantile); bit-identity against the
-// sequential core/multi_quantile.cpp instantiation is pinned by
-// tests/test_engine_multi.cpp at 1/2/8 threads.
+// engine/pipelines.cpp's Ops through multi_detail::run_shared_schedule
+// (for multi_quantile, and with one lane for approx_quantile);
+// bit-identity against the sequential Ops in core/multi_quantile.cpp is
+// pinned by tests/test_engine_multi.cpp at 1/2/8 threads.
 void multi_tournament_begin(Engine& engine, std::span<const Key> keys,
                             std::uint32_t lanes);
 void multi_two_iteration(Engine& engine,

@@ -10,8 +10,10 @@
 
 #include "agg/push_sum.hpp"
 #include "analysis/theory_bounds.hpp"
+#include "baselines/median_rule.hpp"
 #include "core/approx_pipeline.hpp"
 #include "core/exact_pipeline.hpp"
+#include "core/multi_pipeline.hpp"
 #include "core/own_rank.hpp"
 #include "engine/arena.hpp"
 #include "engine/kernels.hpp"
@@ -19,7 +21,6 @@
 #include "engine/token_store.hpp"
 #include "util/prefetch.hpp"
 #include "util/require.hpp"
-#include "workload/tiebreak.hpp"
 
 namespace gq {
 namespace {
@@ -374,27 +375,16 @@ TokenSplitResult token_split_distribute(Engine& engine,
   return out;
 }
 
-// ---- pipelines ------------------------------------------------------------
+// ---- per-executor pipeline steps ----------------------------------------
 
 namespace {
 
-// The engine instantiation of the shared multi-quantile control flow in
-// core/multi_pipeline.hpp; the sequential twin lives in
-// core/multi_quantile.cpp.  Thin forwarders to the multi-lane kernels in
-// engine/kernels.cpp, plus the single-target approx pipeline for the
-// deduped fallback route.  failure_free_tournament below runs the
-// single-target pipeline's tournament through these ops with one lane.
+// The Engine's Ops of the shared multi-quantile schedule
+// (core/multi_pipeline.hpp): thin forwarders to the multi-lane kernels in
+// engine/kernels.cpp.  The sequential twin lives in core/multi_quantile.cpp.
 struct EngineMultiOps {
   Engine& engine;
 
-  [[nodiscard]] std::uint32_t size() const { return engine.size(); }
-  [[nodiscard]] const Metrics& metrics() const { return engine.metrics(); }
-  [[nodiscard]] bool faultless() const { return engine.faultless(); }
-
-  ApproxQuantileResult approx(std::span<const Key> keys,
-                              const ApproxQuantileParams& params) {
-    return approx_quantile_keys(engine, keys, params);
-  }
   void begin(std::span<const Key> keys, std::size_t lanes) {
     multi_tournament_begin(engine, keys, static_cast<std::uint32_t>(lanes));
   }
@@ -409,6 +399,15 @@ struct EngineMultiOps {
 };
 
 }  // namespace
+
+multi_detail::SharedRun multi_detail::shared_tournament(
+    Engine& engine, std::span<const Key> keys,
+    std::span<const MultiLaneSpec> lanes, double phase2_eps,
+    std::uint32_t final_sample_size) {
+  EngineMultiOps ops{engine};
+  return run_shared_schedule<MultiPhaseSpans>(ops, keys, lanes, phase2_eps,
+                                              final_sample_size);
+}
 
 // The Engine's failure-free tournament: Phase 1, Phase 2 and the final
 // sample on the shared-schedule q-lane kernels with one lane.  The
@@ -426,49 +425,31 @@ approx_detail::TournamentRun approx_detail::failure_free_tournament(
           std::move(run.outputs.front())};
 }
 
-ApproxQuantileResult approx_quantile_keys(Engine& engine,
-                                          std::span<const Key> keys,
-                                          const ApproxQuantileParams& params) {
-  return approx_detail::approx_quantile_keys_impl(engine, keys, params);
-}
+// ---- pipeline instantiations ----------------------------------------------
+//
+// The Engine instantiation of every composed pipeline but the adversarial
+// ones (engine/adversarial.cpp); core/pipelines.cpp instantiates the same
+// list for the sequential Network.
 
-MultiQuantileResult multi_quantile_keys(Engine& engine,
-                                        std::span<const Key> keys,
-                                        const MultiQuantileParams& params) {
-  EngineMultiOps ops{engine};
-  return multi_detail::multi_quantile_keys_impl(ops, keys, params);
-}
+template ApproxQuantileResult approx_quantile(Engine&, std::span<const double>,
+                                              const ApproxQuantileParams&);
+template ApproxQuantileResult approx_quantile_keys(
+    Engine&, std::span<const Key>, const ApproxQuantileParams&);
 
-MultiQuantileResult multi_quantile(Engine& engine,
-                                   std::span<const double> values,
-                                   const MultiQuantileParams& params) {
-  const std::vector<Key> keys = make_keys(values);
-  return multi_quantile_keys(engine, keys, params);
-}
+template MultiQuantileResult multi_quantile(Engine&, std::span<const double>,
+                                            const MultiQuantileParams&);
+template MultiQuantileResult multi_quantile_keys(Engine&, std::span<const Key>,
+                                                 const MultiQuantileParams&);
 
-ApproxQuantileResult approx_quantile(Engine& engine,
-                                     std::span<const double> values,
-                                     const ApproxQuantileParams& params) {
-  const std::vector<Key> keys = make_keys(values);
-  return approx_quantile_keys(engine, keys, params);
-}
+template ExactQuantileResult exact_quantile(Engine&, std::span<const double>,
+                                            const ExactQuantileParams&);
+template ExactQuantileResult exact_quantile_keys(Engine&, std::span<const Key>,
+                                                 const ExactQuantileParams&);
 
-ExactQuantileResult exact_quantile_keys(Engine& engine,
-                                        std::span<const Key> keys,
-                                        const ExactQuantileParams& params) {
-  return exact_detail::exact_quantile_keys_impl(engine, keys, params);
-}
+template OwnRankResult own_rank(Engine&, std::span<const double>,
+                                const OwnRankParams&);
 
-ExactQuantileResult exact_quantile(Engine& engine,
-                                   std::span<const double> values,
-                                   const ExactQuantileParams& params) {
-  const std::vector<Key> keys = make_keys(values);
-  return exact_quantile_keys(engine, keys, params);
-}
-
-OwnRankResult own_rank(Engine& engine, std::span<const double> values,
-                       const OwnRankParams& params) {
-  return own_rank_detail::own_rank_impl(engine, values, params);
-}
+template MedianRuleResult median_rule(Engine&, std::span<const double>,
+                                      const MedianRuleParams&);
 
 }  // namespace gq

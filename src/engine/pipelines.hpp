@@ -1,32 +1,36 @@
-// Engine-native quantile pipelines: the headline algorithms of the paper —
-// approx_quantile (Theorem 2.1 / 1.2) and exact_quantile (Theorem 1.1) —
-// running end-to-end on the sharded parallel Engine, plus the Engine's
-// batched collective kernels (spread, push-sum, token split).
+// The Engine's collective kernels: the batched twins of the sequential
+// spread, push-sum and token-split steps (spread_best,
+// push_sum_average_multi<D>, token_split_distribute), on which the
+// executor-generic collectives (agg/, core/pivot.hpp) and the composed
+// pipelines run.
 //
-// Every function here is an overload of its sequential namesake taking
-// Engine& instead of Network&, returns the same result struct, and is
-// **bit-identical** to the sequential path — same outputs, same round
-// counts, same Metrics — at every thread count and shard size (pinned by
-// tests/test_engine.cpp).  Porting a caller is a one-line change of the
+// The pipelines themselves — approx_quantile (Theorem 2.1 / 1.2),
+// exact_quantile (Theorem 1.1), multi_quantile and own_rank
+// (Corollary 1.5), the adversarial pipelines (arXiv 2502.15320) — are one
+// template over the executor each, declared in their core/ headers
+// (included below, so this header still brings every name) and
+// instantiated for Engine in engine/pipelines.cpp (the adversarial ones in
+// engine/adversarial.cpp).  Porting a caller is a one-line change of the
 // executor type; see examples/quickstart.cpp.
+// Every Engine run is **bit-identical** to the sequential Network run —
+// same outputs, same round counts, same Metrics — at every thread count
+// and shard size (pinned by tests/test_engine.cpp).
 //
 // How bit-identity survives the push patterns: the pull-shaped collectives
-// (spreads, tournaments) parallelise with per-node output slots as before,
-// while the push-shaped ones — push-sum counting and the Step-7 token
-// split — route their traffic through engine/scatter.hpp, which applies
-// payloads to each destination in ascending sender order, exactly the
-// order the sequential for-loop produces.  The exact pipeline's control
-// flow itself is not duplicated: both executors instantiate the shared
-// template in core/exact_pipeline.hpp.
+// (spreads, tournaments) parallelise with per-node output slots, while the
+// push-shaped ones — push-sum counting and the Step-7 token split — route
+// their traffic through engine/scatter.hpp, which applies payloads to each
+// destination in ascending sender order, exactly the order the sequential
+// for-loop produces.
 //
 // Scope: both the failure-free and the Section-5 failure model.  The
-// batched kernels below (spread, push-sum, token split) honour
-// FailureModel directly, and under a failure model the pipelines route
-// through the engine-native robust kernels (engine/kernels.hpp:
-// robust_two_tournament / robust_three_tournament / robust_coverage, which
-// share the schedule control flow with core/robust.cpp via
-// core/robust_pipeline.hpp) — so adversarial sweeps run at n = 10^7 with
-// the same bit-identity guarantee, pinned by tests/test_engine_robust.cpp.
+// kernels below honour FailureModel directly, and under a failure model
+// the pipelines route through the engine-native robust kernels
+// (engine/kernels.hpp: robust_two_tournament / robust_three_tournament /
+// robust_coverage, which share the schedule control flow with
+// core/robust.cpp via core/robust_pipeline.hpp) — so adversarial sweeps
+// run at n = 10^7 with the same bit-identity guarantee, pinned by
+// tests/test_engine_robust.cpp.
 #pragma once
 
 #include <algorithm>
@@ -39,11 +43,12 @@
 #include "agg/push_sum.hpp"
 #include "agg/rank_count.hpp"
 #include "agg/spread.hpp"
-#include "core/adversarial_pipeline.hpp"
+#include "core/adversarial.hpp"
+#include "core/approx_quantile.hpp"
+#include "core/exact_quantile.hpp"
 #include "core/multi_quantile.hpp"
-#include "core/params.hpp"
+#include "core/own_rank.hpp"
 #include "core/pivot.hpp"
-#include "core/result.hpp"
 #include "core/token_split.hpp"
 #include "engine/engine.hpp"
 #include "sim/key.hpp"
@@ -223,56 +228,5 @@ MultiPushSumResult<D> push_sum_average_multi(
 [[nodiscard]] TokenSplitResult token_split_distribute(
     Engine& engine, std::span<const Key> inst, std::uint64_t multiplier,
     std::uint64_t tag_base);
-
-// ---- pipelines ------------------------------------------------------------
-
-// The eps-approximate phi-quantile pipeline; see core/approx_quantile.hpp.
-// Under a FailureModel the robust Section-5 variants run, and the result's
-// `valid` mask reports which nodes were served.
-[[nodiscard]] ApproxQuantileResult approx_quantile(
-    Engine& engine, std::span<const double> values,
-    const ApproxQuantileParams& params);
-[[nodiscard]] ApproxQuantileResult approx_quantile_keys(
-    Engine& engine, std::span<const Key> keys,
-    const ApproxQuantileParams& params);
-
-// Corollary 1.5, all q targets in ONE shared tournament schedule; see
-// core/multi_quantile.hpp and core/multi_pipeline.hpp.  Bit-identical to
-// the sequential multi_quantile at every thread count
-// (tests/test_engine_multi.cpp).
-[[nodiscard]] MultiQuantileResult multi_quantile(
-    Engine& engine, std::span<const double> values,
-    const MultiQuantileParams& params);
-[[nodiscard]] MultiQuantileResult multi_quantile_keys(
-    Engine& engine, std::span<const Key> keys,
-    const MultiQuantileParams& params);
-
-// Algorithm 3, exact phi-quantile; see core/exact_quantile.hpp.
-[[nodiscard]] ExactQuantileResult exact_quantile(
-    Engine& engine, std::span<const double> values,
-    const ExactQuantileParams& params);
-[[nodiscard]] ExactQuantileResult exact_quantile_keys(
-    Engine& engine, std::span<const Key> keys,
-    const ExactQuantileParams& params);
-
-// Corollary 1.5, own-rank estimation; see core/own_rank.hpp.
-[[nodiscard]] OwnRankResult own_rank(Engine& engine,
-                                     std::span<const double> values,
-                                     const OwnRankParams& params);
-
-// The adversarially-robust pipelines (arXiv 2502.15320); see
-// core/adversarial.hpp for the model and core/adversarial_pipeline.hpp for
-// the shared control flow.  Install a strategy with Engine::set_adversary.
-// These kernels run on plain pooled Key buffers, never the interned rank
-// lanes — corrupt payloads are values the intern table has never seen.
-[[nodiscard]] AdversarialQuantileResult adversarial_quantile(
-    Engine& engine, std::span<const double> values,
-    const AdversarialQuantileParams& params = {});
-[[nodiscard]] AdversarialQuantileResult adversarial_quantile_keys(
-    Engine& engine, std::span<const Key> keys,
-    const AdversarialQuantileParams& params = {});
-[[nodiscard]] AdversarialMeanResult adversarial_mean(
-    Engine& engine, std::span<const double> values,
-    const AdversarialMeanParams& params = {});
 
 }  // namespace gq

@@ -5,6 +5,7 @@
 
 #include "analysis/rank_stats.hpp"
 #include "core/own_rank.hpp"
+#include "engine/engine.hpp"
 #include "workload/distributions.hpp"
 #include "workload/tiebreak.hpp"
 
@@ -94,6 +95,36 @@ TEST(OwnRank, RejectsInvalidEps) {
   EXPECT_THROW((void)own_rank(net, values, params), std::invalid_argument);
   params.eps = 0.6;
   EXPECT_THROW((void)own_rank(net, values, params), std::invalid_argument);
+}
+
+// A grid step eps/2 finer than one rank (eps * n < 2) would ask for more
+// than n - 1 targets: tiny eps once overflowed the target count's
+// conversion, and 1e-9 tried to queue ~2e9 targets.  Both executors reject
+// it up front; eps = 2/n, the finest accepted, runs n - 1 targets.
+TEST(OwnRank, RejectsGridFinerThanOneRank) {
+  constexpr std::uint32_t kN = 64;
+  const auto values =
+      generate_values(Distribution::kUniformPermutation, kN, 1);
+  Network net(kN, 1);
+  Engine engine(kN, 1, FailureModel{}, EngineConfig{.threads = 2});
+  OwnRankParams params;
+  for (const double eps : {1e-25, 1e-9, 0.03}) {
+    params.eps = eps;
+    EXPECT_THROW((void)own_rank(net, values, params), std::invalid_argument)
+        << eps;
+    EXPECT_THROW((void)own_rank(engine, values, params),
+                 std::invalid_argument)
+        << eps;
+  }
+  EXPECT_EQ(net.metrics().rounds, 0u);
+  EXPECT_EQ(engine.metrics().rounds, 0u);
+
+  params.eps = 2.0 / kN;
+  const OwnRankResult seq = own_rank(net, values, params);
+  const OwnRankResult par = own_rank(engine, values, params);
+  EXPECT_EQ(seq.quantile_runs, kN - 1);
+  EXPECT_EQ(seq.estimates, par.estimates);
+  EXPECT_EQ(seq.rounds, par.rounds);
 }
 
 }  // namespace
