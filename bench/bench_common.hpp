@@ -1,5 +1,5 @@
 // Shared output helpers for the experiment harness: every bench prints
-// markdown tables so EXPERIMENTS.md rows can be pasted verbatim, and can
+// markdown tables that paste verbatim into a results document, and can
 // additionally emit machine-readable timing records (see JsonArtifact) so
 // the perf trajectory survives in BENCH_engine.json instead of scrollback.
 #pragma once

@@ -7,9 +7,12 @@ namespace gq {
 
 std::uint64_t push_sum_rounds_for_exact(std::uint32_t n,
                                         const FailureModel& failures) {
-  // Calibrated: the rounding cliff (first integer-exact counts across all
-  // nodes) sits near 2 log2 n + 30 for n up to 2^18; this schedule clears
-  // it with ~1/3 margin.  See EXPERIMENTS.md (counting calibration).
+  // Calibrated: for the three counts of
+  // GossipCount3.DefaultScheduleIsExactAtScale (tests/test_agg.cpp, n = 2^14
+  // and 2^15 + 1) the rounding cliff — the first schedule at which every
+  // node's counts are integer-exact — lies between 2 log2 n + 10 (some
+  // nodes off) and 2 log2 n + 16 (all exact).  This schedule clears it by
+  // log2 n + 4 rounds; that test pins exactness at the default.
   const auto log2n = static_cast<std::uint64_t>(
       std::bit_width(static_cast<std::uint64_t>(n) - 1));
   const std::uint64_t rounds = 3 * log2n + 20;

@@ -25,7 +25,7 @@
 //
 // ONE template per pipeline takes the executor itself: the public entry
 // points below, instantiated for the sequential Network
-// (core/pipelines.cpp) and the parallel Engine (engine/adversarial.cpp).
+// (core/pipelines.cpp) and the parallel Engine (engine/pipelines.cpp).
 // The per-node fold (fault application, delay mailbox, group filtering,
 // commit rules) lives here as plain functions run inside the executor's
 // parallel_shards, with per-shard Metrics folded in shard order — the

@@ -139,9 +139,9 @@ class Engine : public RoundCore {
   // slots and must not touch the engine's Metrics.
   [[nodiscard]] ThreadPool& pool() noexcept { return pool_; }
 
-  // The engine-owned mailbox arena; Scatter/CombiningScatter check their
-  // rows x partitions box table out of it so mailbox capacity persists
-  // across rounds and pipeline stages.  See engine/arena.hpp.
+  // The engine-owned mailbox arena; a Scatter checks its rows x partitions
+  // box table out of it so mailbox capacity persists across rounds and
+  // pipeline stages.  See engine/arena.hpp.
   [[nodiscard]] ScatterArena& scatter_arena() noexcept {
     return scatter_arena_;
   }

@@ -11,6 +11,7 @@
 #include "agg/push_sum.hpp"
 #include "analysis/theory_bounds.hpp"
 #include "baselines/median_rule.hpp"
+#include "core/adversarial_pipeline.hpp"
 #include "core/approx_pipeline.hpp"
 #include "core/exact_pipeline.hpp"
 #include "core/multi_pipeline.hpp"
@@ -25,24 +26,31 @@
 namespace gq {
 namespace {
 
-// ---- push-sum on the scatter primitive -----------------------------------
+// ---- push-sum ----------------------------------------------------------
 //
 // The Engine's push_sum_average_multi kernel: per round, every node halves
-// its masses and scatters one message; the scatter delivers each
-// destination's incoming masses in ascending sender order, which is the
-// exact floating-point fold order of the sequential for-loop.
+// its masses and pushes one half to a uniform peer; each destination must
+// fold its incoming halves in ascending sender order, which is the exact
+// floating-point fold order of the sequential for-loop.  Two round shapes
+// keep that order:
+//
+//   * One worker: the shards run inline in ascending order, so the round is
+//     the reference loop itself — a send pass that adds each half straight
+//     into its destination's accumulator, then a commit pass.  No mailbox.
+//   * Several workers: concurrent shards would race on one accumulator, so
+//     messages go through engine/scatter.hpp, whose delivery applies each
+//     destination's payloads in ascending sender order.
 //
 // Working state is engine-pooled (Engine::scratch) and first-touch
 // initialized: each shard's slice of the arrays is first written by the
-// worker that owns the shard, and the per-destination accumulators by their
-// partition's delivery task — so repeated counting stages reuse warm,
+// worker that owns the shard, so repeated counting stages reuse warm,
 // NUMA-local pages instead of re-allocating n-sized vectors per call.
 //
 // A node's value masses and weight mass live in ONE struct, not parallel
-// arrays: the delivery fold makes two random-indexed accesses per message
-// (read the sender's pair, bump the destination's accumulator pair), and
-// keeping each pair on one cache line instead of two halves the lines the
-// L2 has to serve on the hottest loop of the counting stages.
+// arrays: every message makes two random-indexed accesses (read the
+// sender's pair, bump the destination's accumulator pair), and keeping
+// each pair on one cache line instead of two halves the lines the L2 has
+// to serve on the hottest loop of the counting stages.
 template <std::size_t D>
 struct PushSumScratch {
   struct Pair {
@@ -70,71 +78,102 @@ MultiPushSumResult<D> push_sum_average_multi(
   scratch.inflow.ensure(n);
   const std::span<Pair> state = scratch.state.span(n);
   const std::span<Pair> inflow = scratch.inflow.span(n);
+  const auto zero = [](Pair& p) {
+    p.s.fill(0.0);
+    p.w = 0.0;
+  };
+  const auto add = [](Pair& into, const Pair& m) {
+    for (std::size_t j = 0; j < D; ++j) into.s[j] += m.s[j];
+    into.w += m.w;
+  };
+  // The failure coin and peer draw are the batched twin of push_round —
+  // same per-node stream derivation, same per-shard message accounting —
+  // fused with the halving; emit(d, half) hands the half to the round
+  // shape's delivery.
+  const auto send_shard = [&](std::uint32_t begin, std::uint32_t end,
+                              Metrics& local, auto&& emit) {
+    std::uint64_t sent = 0;
+    for (std::uint32_t v = begin; v < end; ++v) {
+      if (engine.node_fails(v)) {  // failed: keeps whole pair
+        ++local.failed_operations;
+        continue;
+      }
+      SplitMix64 stream = engine.node_stream(v);
+      const std::uint32_t d = engine.sample_peer(v, stream);
+      ++sent;
+      for (std::size_t j = 0; j < D; ++j) state[v].s[j] *= 0.5;
+      state[v].w *= 0.5;
+      emit(d, state[v]);
+    }
+    local.record_messages(sent, bits);
+  };
+
+  const bool inline_rounds = engine.threads() == 1;
   engine.parallel_shards(
       [&](std::uint32_t begin, std::uint32_t end, Metrics&) {
         for (std::uint32_t v = begin; v < end; ++v) {
           state[v].s = x[v];
           state[v].w = 1.0;
+          // The scatter rounds zero inflow in their delivery prologue
+          // instead (which first-touches it per partition task).
+          if (inline_rounds) zero(inflow[v]);
         }
       });
-  // inflow needs no init: each round's delivery prologue zeroes it, which
-  // also first-touches each slice from the partition task that owns it.
 
-  // Two parallel sections per round, not four: the peer draw (the batched
-  // twin of push_round — same per-node stream derivation, same per-shard
-  // message accounting) is fused with the halve-and-send loop, and the
-  // "add the incoming masses" commit rides as the delivery epilogue while
-  // the partition's accumulators are cache-resident.  Messages carry the
-  // halved (s, w) pair inline — a pure streaming read on delivery — and
-  // the fold touches exactly one random-indexed accumulator Pair per
-  // message.  The floating-point schedule is the sequential one — halve
-  // own pair, accumulate incoming in ascending sender order, add the
-  // accumulator once — so results stay bit-identical.
-  Scatter<Pair> scatter(engine);
-  for (std::uint64_t r = 0; r < rounds; ++r) {
-    engine.begin_round();
-    scatter.begin_round();
-    engine.parallel_shards(
-        [&](std::uint32_t begin, std::uint32_t end, Metrics& local) {
-          auto out = scatter.sender_for(begin);
-          std::uint64_t sent = 0;
-          for (std::uint32_t v = begin; v < end; ++v) {
-            if (engine.node_fails(v)) {  // failed: keeps whole pair
-              ++local.failed_operations;
-              continue;
+  if (inline_rounds) {
+    // One worker runs the shards in ascending order, so each accumulator
+    // receives its halves in ascending sender order; the commit pass adds
+    // the accumulator once and re-zeroes it for the next round.
+    for (std::uint64_t r = 0; r < rounds; ++r) {
+      engine.begin_round();
+      engine.parallel_shards(
+          [&](std::uint32_t begin, std::uint32_t end, Metrics& local) {
+            send_shard(begin, end, local,
+                       [&](std::uint32_t d, const Pair& half) {
+                         add(inflow[d], half);
+                       });
+          });
+      engine.parallel_shards(
+          [&](std::uint32_t begin, std::uint32_t end, Metrics&) {
+            for (std::uint32_t v = begin; v < end; ++v) {
+              add(state[v], inflow[v]);
+              zero(inflow[v]);
             }
-            SplitMix64 stream = engine.node_stream(v);
-            const std::uint32_t d = engine.sample_peer(v, stream);
-            ++sent;
-            for (std::size_t j = 0; j < D; ++j) state[v].s[j] *= 0.5;
-            state[v].w *= 0.5;
-            out.send(d, state[v]);
-          }
-          local.record_messages(sent, bits);
-        });
-    scatter.deliver_prefetch(
-        engine,
-        [&](std::uint32_t first, std::uint32_t last) {
-          for (std::uint32_t v = first; v < last; ++v) {
-            inflow[v].s.fill(0.0);
-            inflow[v].w = 0.0;
-          }
-        },
-        [&](std::uint32_t dest, const Pair& m) {
-          for (std::size_t j = 0; j < D; ++j) inflow[dest].s[j] += m.s[j];
-          inflow[dest].w += m.w;
-        },
-        [&](std::uint32_t first, std::uint32_t last) {
-          for (std::uint32_t v = first; v < last; ++v) {
-            for (std::size_t j = 0; j < D; ++j) {
-              state[v].s[j] += inflow[v].s[j];
+          });
+    }
+  } else {
+    // Two parallel sections per round: the send pass queues each half (a
+    // pure streaming read on delivery), and the delivery zeroes the
+    // partition's accumulators, folds its records while they are
+    // cache-resident, and commits them as its epilogue.  The fold touches
+    // exactly one random-indexed accumulator Pair per message.
+    Scatter<Pair> scatter(engine);
+    for (std::uint64_t r = 0; r < rounds; ++r) {
+      engine.begin_round();
+      scatter.begin_round();
+      engine.parallel_shards(
+          [&](std::uint32_t begin, std::uint32_t end, Metrics& local) {
+            auto out = scatter.sender_for(begin);
+            send_shard(begin, end, local,
+                       [&](std::uint32_t d, const Pair& half) {
+                         out.send(d, half);
+                       });
+          });
+      scatter.deliver_prefetch(
+          engine,
+          [&](std::uint32_t first, std::uint32_t last) {
+            for (std::uint32_t v = first; v < last; ++v) zero(inflow[v]);
+          },
+          [&](std::uint32_t dest, const Pair& m) { add(inflow[dest], m); },
+          [&](std::uint32_t first, std::uint32_t last) {
+            for (std::uint32_t v = first; v < last; ++v) {
+              add(state[v], inflow[v]);
             }
-            state[v].w += inflow[v].w;
-          }
-        },
-        // The fold's one random-indexed access: the destination's inflow
-        // Pair.  Issued a few records ahead by the delivery walk.
-        [&](std::uint32_t dest) { prefetch_read(&inflow[dest]); });
+          },
+          // The fold's one random-indexed access: the destination's inflow
+          // Pair.  Issued a few records ahead by the delivery walk.
+          [&](std::uint32_t dest) { prefetch_read(&inflow[dest]); });
+    }
   }
 
   MultiPushSumResult<D> out;
@@ -427,9 +466,8 @@ approx_detail::TournamentRun approx_detail::failure_free_tournament(
 
 // ---- pipeline instantiations ----------------------------------------------
 //
-// The Engine instantiation of every composed pipeline but the adversarial
-// ones (engine/adversarial.cpp); core/pipelines.cpp instantiates the same
-// list for the sequential Network.
+// The Engine instantiation of every composed pipeline; core/pipelines.cpp
+// instantiates the same list for the sequential Network.
 
 template ApproxQuantileResult approx_quantile(Engine&, std::span<const double>,
                                               const ApproxQuantileParams&);
@@ -451,5 +489,13 @@ template OwnRankResult own_rank(Engine&, std::span<const double>,
 
 template MedianRuleResult median_rule(Engine&, std::span<const double>,
                                       const MedianRuleParams&);
+
+template AdversarialQuantileResult adversarial_quantile(
+    Engine&, std::span<const double>, const AdversarialQuantileParams&);
+template AdversarialQuantileResult adversarial_quantile_keys(
+    Engine&, std::span<const Key>, const AdversarialQuantileParams&);
+template AdversarialMeanResult adversarial_mean(Engine&,
+                                                std::span<const double>,
+                                                const AdversarialMeanParams&);
 
 }  // namespace gq

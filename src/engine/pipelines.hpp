@@ -9,19 +9,20 @@
 // (Corollary 1.5), the adversarial pipelines (arXiv 2502.15320) — are one
 // template over the executor each, declared in their core/ headers
 // (included below, so this header still brings every name) and
-// instantiated for Engine in engine/pipelines.cpp (the adversarial ones in
-// engine/adversarial.cpp).  Porting a caller is a one-line change of the
-// executor type; see examples/quickstart.cpp.
+// instantiated for Engine in engine/pipelines.cpp.  Porting a caller is a
+// one-line change of the executor type; see examples/quickstart.cpp.
 // Every Engine run is **bit-identical** to the sequential Network run —
 // same outputs, same round counts, same Metrics — at every thread count
 // and shard size (pinned by tests/test_engine.cpp).
 //
 // How bit-identity survives the push patterns: the pull-shaped collectives
-// (spreads, tournaments) parallelise with per-node output slots, while the
-// push-shaped ones — push-sum counting and the Step-7 token split — route
-// their traffic through engine/scatter.hpp, which applies payloads to each
-// destination in ascending sender order, exactly the order the sequential
-// for-loop produces.
+// (spreads, tournaments) parallelise with per-node output slots.  The
+// push-shaped ones must apply each destination's payloads in ascending
+// sender order, the order the sequential for-loop produces.  On one worker
+// the shards run inline in that order, so push-sum folds each message into
+// its destination at send time, as the reference loop does.  The Step-7
+// token split, and push-sum on more than one worker, route their traffic
+// through engine/scatter.hpp, whose delivery restores that order.
 //
 // Scope: both the failure-free and the Section-5 failure model.  The
 // kernels below honour FailureModel directly, and under a failure model
@@ -216,8 +217,9 @@ std::array<GenericSpreadResult<T>, C> spread_best(
 }
 
 // The Engine's push-sum kernel, the batched twin of agg/push_sum.hpp's
-// push_sum_average_multi; defined in engine/pipelines.cpp and instantiated
-// for D = 1 (counts, averages) and D = 3 (gossip_count3).
+// push_sum_average_multi: a send-time fold on one worker, scatter delivery
+// on several.  Defined in engine/pipelines.cpp and instantiated for D = 1
+// (counts, averages) and D = 3 (gossip_count3).
 template <std::size_t D>
 MultiPushSumResult<D> push_sum_average_multi(
     Engine& engine, std::span<const std::array<double, D>> x,

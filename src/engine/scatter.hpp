@@ -5,8 +5,10 @@
 // arbitrary destinations in the same round — cannot, because two senders may
 // target the same node and the order in which their payloads are applied is
 // observable (floating-point folds, token list append order).  This is the
-// pattern behind Algorithm 3's token split (Step 7) and push-sum counting,
-// and it is what kept the full quantile pipelines off the engine.
+// pattern behind Algorithm 3's token split (Step 7) and, on more than one
+// worker, push-sum counting.  (A one-worker Engine runs its shards inline
+// in ascending order, so its push-sum folds each message into the
+// destination at send time with no mailbox; see engine/pipelines.cpp.)
 //
 // Scatter makes the pattern deterministic in two phases:
 //
@@ -29,12 +31,6 @@
 // payload types — steady-state rounds allocate nothing.  Records are
 // memcpy-framed into the byte boxes, which is why payloads must be
 // trivially copyable (they model wire messages; all of ours are).
-//
-// CombiningScatter is the counter-payload variant: payloads whose fold is
-// exactly associative and commutative (integer counters, bitmasks) may be
-// merged before delivery, shrinking mailboxes when a sender emits bursts to
-// one destination.  Because combining changes fold grouping, it must never
-// be used with floating-point payloads — that is Scatter's job.
 #pragma once
 
 #include <cstdint>
@@ -49,10 +45,10 @@
 
 namespace gq {
 
-// Mailbox geometry shared by both scatter variants.  Rows are the engine's
-// node shards (the send-side write granularity); destination partitions are
-// contiguous node ranges sized from the same shard layout, capped so the
-// row x partition table stays small.  All boundaries are pure functions of
+// Mailbox geometry of the scatter.  Rows are the engine's node shards (the
+// send-side write granularity); destination partitions are contiguous node
+// ranges sized from the same shard layout, capped so the row x partition
+// table stays small.  All boundaries are pure functions of
 // (n, shard_size) — never of the thread count.
 struct ScatterLayout {
   std::uint32_t n = 0;
@@ -101,14 +97,13 @@ struct ScatterLayout {
 
 namespace scatter_detail {
 
-// The arena-backed mailbox table both scatter variants sit on: checkout,
-// record framing, and the row-major delivery walk.  Records are framed
-// into the byte slabs with placement-new (write) and laundered pointers
-// (read): every record offset is a multiple of sizeof(Record) from a
-// max-aligned slab base, so access is always aligned, and avoiding a
-// bounce through a stack temporary keeps the per-message cost at parity
-// with a typed vector while letting the slabs be reused across payload
-// types.
+// The arena-backed mailbox table the scatter sits on: checkout, record
+// framing, and the row-major delivery walk.  Records are framed into the
+// byte slabs with placement-new (write) and laundered pointers (read):
+// every record offset is a multiple of sizeof(Record) from a max-aligned
+// slab base, so access is always aligned, and avoiding a bounce through a
+// stack temporary keeps the per-message cost at parity with a typed vector
+// while letting the slabs be reused across payload types.
 template <typename Record>
 class Mailboxes {
  public:
@@ -168,29 +163,18 @@ class Mailboxes {
   [[nodiscard]] static const Record* records(const ScatterArena::Box& b) {
     return std::launder(reinterpret_cast<const Record*>(b.bytes.data()));
   }
-  [[nodiscard]] static Record* records(ScatterArena::Box& b) {
-    return std::launder(reinterpret_cast<Record*>(b.bytes.data()));
-  }
   [[nodiscard]] static std::size_t count(const ScatterArena::Box& b) {
     return b.used / sizeof(Record);
   }
 
   // Applies fn(record) to every record addressed to partition p, mailbox
-  // rows in shard order — i.e. ascending sender order per destination.
-  // The plain walk is the touch-variant with a no-op hint (which the
-  // compiler deletes), so there is exactly ONE copy of the record
-  // iteration order.
-  template <typename Fn>
-  void for_each_in_partition(std::size_t p, Fn&& fn) {
-    for_each_in_partition(p, std::forward<Fn>(fn), [](const Record&) {});
-  }
-
-  // Like the plain walk, but calls touch(record) kLookahead records ahead
-  // of fn(record).  The record stream itself is sequential (the hardware
-  // prefetcher handles it); what stalls the fold is the random-indexed
-  // per-destination accumulator line, whose address only the caller can
-  // compute — touch is where it issues the software prefetch.  Purely a
-  // timing hint: fn still runs over every record in the same order.
+  // rows in shard order — i.e. ascending sender order per destination —
+  // and calls touch(record) kLookahead records ahead of fn(record).  The
+  // record stream itself is sequential (the hardware prefetcher handles
+  // it); what stalls the fold is the random-indexed per-destination
+  // accumulator line, whose address only the caller can compute — touch is
+  // where it issues the software prefetch.  Purely a timing hint: fn still
+  // runs over every record in the same order.
   template <typename Fn, typename Touch>
   void for_each_in_partition(std::size_t p, Fn&& fn, Touch&& touch) {
     constexpr std::size_t kLookahead = 8;
@@ -337,62 +321,6 @@ class Scatter {
 
   ScatterLayout layout_;
   scatter_detail::Mailboxes<Record> boxes_;
-};
-
-// Scatter for counter-style payloads: `combine` must be exactly associative
-// and commutative (integer sums, max, bit-or), because consecutive sends
-// from one shard to the same destination are merged in the mailbox and the
-// delivery fold makes no ordering promise beyond determinism.  Under that
-// contract the delivered totals are bit-identical at any thread count and
-// shard size, with mailboxes no larger than the number of distinct
-// (sender burst, destination) pairs.
-template <typename Payload, typename Combine>
-class CombiningScatter {
- public:
-  explicit CombiningScatter(Engine& engine, Combine combine = Combine{})
-      : layout_(ScatterLayout::for_engine(engine)),
-        combine_(std::move(combine)),
-        boxes_(engine, layout_) {}
-
-  [[nodiscard]] const ScatterLayout& layout() const noexcept {
-    return layout_;
-  }
-
-  void begin_round() { boxes_.clear_all(); }
-
-  void send(std::uint32_t sender, std::uint32_t dest, const Payload& payload) {
-    auto& b = boxes_.box(layout_.row_of(sender), layout_.partition_of(dest));
-    const std::size_t m = Boxes::count(b);
-    if (m > 0) {
-      Record& last = Boxes::records(b)[m - 1];
-      if (last.dest == dest) {
-        combine_(last.payload, payload);
-        return;
-      }
-    }
-    boxes_.append(b, Record{dest, payload});
-  }
-
-  // Applies fold(dest, payload) for every (possibly pre-combined) record.
-  template <typename Fold>
-  void deliver(Engine& engine, Fold&& fold) {
-    GQ_SPAN("engine/scatter_deliver_combining");
-    engine.pool().run(layout_.partitions, [&](std::size_t p) {
-      boxes_.for_each_in_partition(
-          p, [&](const Record& r) { fold(r.dest, r.payload); });
-    });
-  }
-
- private:
-  struct Record {
-    std::uint32_t dest;
-    Payload payload;
-  };
-  using Boxes = scatter_detail::Mailboxes<Record>;
-
-  ScatterLayout layout_;
-  Combine combine_;
-  Boxes boxes_;
 };
 
 }  // namespace gq

@@ -110,13 +110,14 @@ class RoundCore {
   // operation: the legacy pipelines have no payload layer to corrupt, no
   // mailbox to delay into and no lifecycle notion — a down node simply
   // loses its rounds.  kCorrupt (and kRecover) read as success here; only
-  // the adversarial pipelines apply them.
+  // the adversarial pipelines apply them.  The faultless() test comes first
+  // and the coin reading sits behind it in its own function, so op_fails
+  // stays small enough to inline everywhere and a failure-free send loop
+  // reduces to one predictable branch whatever else shares its translation
+  // unit.
   [[nodiscard]] bool op_fails(std::uint32_t v, std::uint64_t round) const {
-    if (streams::node_fails(seed_, round, v, failures_)) return true;
-    if (adversary_ == nullptr) return false;
-    const Fault f = adversary_->fault(v, round);
-    return f.kind == FaultKind::kDrop || f.kind == FaultKind::kDelay ||
-           f.kind == FaultKind::kCrash;
+    if (faultless()) return false;
+    return faulted_op_fails(v, round);
   }
 
   // Uniformly random node other than v, drawn from `stream`.
@@ -143,6 +144,17 @@ class RoundCore {
   Metrics metrics_;
 
  private:
+  // op_fails once a fault source is installed: the failure coin, then the
+  // adversary's verdict.
+  [[nodiscard]] bool faulted_op_fails(std::uint32_t v,
+                                      std::uint64_t round) const {
+    if (streams::node_fails(seed_, round, v, failures_)) return true;
+    if (adversary_ == nullptr) return false;
+    const Fault f = adversary_->fault(v, round);
+    return f.kind == FaultKind::kDrop || f.kind == FaultKind::kDelay ||
+           f.kind == FaultKind::kCrash;
+  }
+
   std::uint64_t seed_;
   std::uint64_t round_ = 0;
   FailureModel failures_;

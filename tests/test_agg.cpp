@@ -9,6 +9,8 @@
 #include "agg/push_sum.hpp"
 #include "agg/rank_count.hpp"
 #include "agg/spread.hpp"
+#include "engine/pipelines.hpp"
+#include "util/rng.hpp"
 #include "workload/distributions.hpp"
 #include "workload/tiebreak.hpp"
 
@@ -265,6 +267,41 @@ TEST(GossipCount3, ThreeExactCountsInOneRun) {
     EXPECT_EQ(r.a[v], 20u);
     EXPECT_EQ(r.b[v], kN / 2);
     EXPECT_EQ(r.c[v], kN);
+  }
+}
+
+// The calibration behind push_sum_rounds_for_exact (agg/push_sum.cpp): the
+// default schedule, 3 log2 n + 20 rounds, leaves every node's three counts
+// integer-exact well beyond the small n of the tests above — here at
+// n = 2^14 and at n = 2^15 + 1 (the first n of the next log2 bucket, where
+// the schedule has the least margin), over several seeds, on the
+// one-worker Engine every end-to-end benchmark run uses.
+TEST(GossipCount3, DefaultScheduleIsExactAtScale) {
+  for (const std::uint32_t n : {1u << 14, (1u << 15) + 1}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      std::vector<bool> a(n), b(n), c(n);
+      std::uint64_t want_a = 0, want_b = 0, want_c = 0;
+      SplitMix64 coins{seed * 0x9e3779b97f4a7c15ULL + n};
+      for (std::uint32_t v = 0; v < n; ++v) {
+        const std::uint64_t draw = coins();
+        a[v] = draw % 97 == 0;   // sparse
+        b[v] = draw % 3 != 0;    // dense
+        c[v] = v < n / 2 + 1;    // one past half
+        want_a += a[v] ? 1 : 0;
+        want_b += b[v] ? 1 : 0;
+        want_c += c[v] ? 1 : 0;
+      }
+      Engine engine(n, seed, FailureModel{}, EngineConfig{.threads = 1});
+      const TripleCountResult r = gossip_count3(engine, a, b, c);
+      EXPECT_EQ(r.rounds, push_sum_rounds_for_exact(n, FailureModel{}));
+      std::uint32_t wrong = 0;
+      for (std::uint32_t v = 0; v < n; ++v) {
+        if (r.a[v] != want_a || r.b[v] != want_b || r.c[v] != want_c) {
+          ++wrong;
+        }
+      }
+      EXPECT_EQ(wrong, 0u) << "n=" << n << " seed=" << seed;
+    }
   }
 }
 

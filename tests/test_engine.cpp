@@ -8,6 +8,7 @@
 #include <array>
 #include <atomic>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -28,6 +29,7 @@
 #include "engine/pipelines.hpp"
 #include "engine/scatter.hpp"
 #include "engine/thread_pool.hpp"
+#include "sim/adversary.hpp"
 #include "sim/key_intern.hpp"
 #include "sim/network.hpp"
 #include "workload/distributions.hpp"
@@ -264,45 +266,6 @@ TEST(Scatter, DeliversInAscendingSenderOrder) {
   }
 }
 
-TEST(Scatter, CombiningTotalsAreConfigurationIndependent) {
-  constexpr std::uint32_t kN = 513;
-  struct Add {
-    void operator()(std::uint64_t& acc, std::uint64_t v) const { acc += v; }
-  };
-  std::vector<std::uint64_t> expected;
-  for (unsigned threads : kThreadCounts) {
-    for (const std::uint32_t shard_size : {64u, 1u << 14}) {
-      Engine engine(kN, 5, FailureModel{},
-                    EngineConfig{.threads = threads, .shard_size = shard_size});
-      CombiningScatter<std::uint64_t, Add> scatter(engine);
-      scatter.begin_round();
-      // Bursts to one destination per sender: must pre-combine in the
-      // mailbox, and totals must not depend on the configuration.
-      engine.parallel_shards(
-          [&](std::uint32_t begin, std::uint32_t end, Metrics&) {
-            for (std::uint32_t v = begin; v < end; ++v) {
-              for (int i = 0; i < 3; ++i) scatter.send(v, v % 17, v + 1);
-              scatter.send(v, (v + 1) % kN, 1);
-            }
-          });
-      std::vector<std::uint64_t> totals(kN, 0);
-      scatter.deliver(engine, [&](std::uint32_t dest, std::uint64_t payload) {
-        totals[dest] += payload;
-      });
-      if (expected.empty()) {
-        expected = totals;
-        std::uint64_t sum = 0;
-        for (auto t : totals) sum += t;
-        // 3*(v+1) per sender plus one unit to a neighbour.
-        EXPECT_EQ(sum, 3ull * kN * (kN + 1) / 2 + kN);
-      } else {
-        EXPECT_EQ(totals, expected)
-            << "threads=" << threads << " shard_size=" << shard_size;
-      }
-    }
-  }
-}
-
 // ---- batched collectives --------------------------------------------------
 
 TEST(EngineCollectives, SpreadMatchesCore) {
@@ -383,40 +346,98 @@ TEST(EngineCollectives, FusedSpreadMatchesCore) {
   }
 }
 
+// Push-sum counting on both Engine round shapes — the one-worker loop that
+// folds each message into its destination at send time, and the
+// multi-worker scatter delivery — must match the reference transcript bit
+// for bit: counts, the raw D = 3 estimates, rounds and Metrics, under an
+// oblivious failure model and with an installed adversary (a crash-churn
+// victim or an eclipsed node fails its own operations and keeps its mass;
+// greedy corruption reads as success on the legacy collectives), at
+// several shard sizes.
 TEST(EngineCollectives, GossipCountMatchesCore) {
   constexpr std::uint32_t kN = 1500;
   constexpr std::uint64_t kSeed = 303;
   const auto keys =
       make_keys(generate_values(Distribution::kUniformReal, kN, 17));
   std::vector<bool> ind_a(kN), ind_b(kN), ind_c(kN);
+  std::vector<std::array<double, 3>> x3(kN);
   for (std::uint32_t v = 0; v < kN; ++v) {
     ind_a[v] = v % 3 == 0;
     ind_b[v] = v % 2 == 0;
     ind_c[v] = true;
+    x3[v] = {static_cast<double>(v % 7), v * 0.25, 1.0 / (v + 1)};
   }
 
-  for (const bool with_failures : {false, true}) {
-    const FailureModel fm =
-        with_failures ? FailureModel::uniform(0.25) : FailureModel{};
-    Network net(kN, kSeed, fm);
-    const CountResult seq_count = gossip_count(net, ind_a);
-    const CountResult seq_rank = gossip_rank(net, keys, keys[kN / 2]);
-    const TripleCountResult seq3 = gossip_count3(net, ind_a, ind_b, ind_c);
+  enum class Attack { kNone, kCrashChurn, kEclipse, kGreedy };
+  const auto make_adversary =
+      [](Attack attack) -> std::unique_ptr<AdversaryStrategy> {
+    switch (attack) {
+      case Attack::kNone:
+        return nullptr;
+      case Attack::kCrashChurn:
+        return std::make_unique<CrashChurnAdversary>(
+            CrashChurnAdversary::Config{.crashes = kN / 16,
+                                        .first_round = 1,
+                                        .crash_window = 48,
+                                        .down_rounds = 12,
+                                        .strategy_seed = 5});
+      case Attack::kEclipse:
+        return std::make_unique<EclipseAdversary>(kN / 3, kN / 50);
+      case Attack::kGreedy:
+        return std::make_unique<GreedyTargetedAdversary>(kN / 64, 1e6);
+    }
+    return nullptr;
+  };
 
-    for (unsigned threads : kThreadCounts) {
-      Engine engine(kN, kSeed, fm, config_for(threads));
-      const CountResult par_count = gossip_count(engine, ind_a);
-      const CountResult par_rank = gossip_rank(engine, keys, keys[kN / 2]);
-      const TripleCountResult par3 = gossip_count3(engine, ind_a, ind_b, ind_c);
-      EXPECT_EQ(par_count.counts, seq_count.counts);
-      EXPECT_EQ(par_count.rounds, seq_count.rounds);
-      EXPECT_EQ(par_rank.counts, seq_rank.counts);
-      EXPECT_EQ(par3.a, seq3.a);
-      EXPECT_EQ(par3.b, seq3.b);
-      EXPECT_EQ(par3.c, seq3.c);
-      EXPECT_EQ(par3.rounds, seq3.rounds);
-      EXPECT_EQ(engine.metrics(), net.metrics())
-          << "threads=" << threads << " failures=" << with_failures;
+  for (const bool with_failures : {false, true}) {
+    for (const Attack attack : {Attack::kNone, Attack::kCrashChurn,
+                                Attack::kEclipse, Attack::kGreedy}) {
+      const FailureModel fm =
+          with_failures ? FailureModel::uniform(0.25) : FailureModel{};
+      const auto net_adversary = make_adversary(attack);
+      Network net(kN, kSeed, fm);
+      net.set_adversary(net_adversary.get());
+      const CountResult seq_count = gossip_count(net, ind_a);
+      const CountResult seq_rank = gossip_rank(net, keys, keys[kN / 2]);
+      const TripleCountResult seq3 = gossip_count3(net, ind_a, ind_b, ind_c);
+      const MultiPushSumResult<3> seq_raw = push_sum_average_multi<3>(
+          net, std::span<const std::array<double, 3>>(x3));
+
+      for (unsigned threads : kThreadCounts) {
+        for (const std::uint32_t shard_size : {192u, 1u << 14}) {
+          const auto adversary = make_adversary(attack);
+          Engine engine(kN, kSeed, fm,
+                        EngineConfig{.threads = threads,
+                                     .shard_size = shard_size});
+          engine.set_adversary(adversary.get());
+          const CountResult par_count = gossip_count(engine, ind_a);
+          const CountResult par_rank =
+              gossip_rank(engine, keys, keys[kN / 2]);
+          const TripleCountResult par3 =
+              gossip_count3(engine, ind_a, ind_b, ind_c);
+          const MultiPushSumResult<3> par_raw = push_sum_average_multi<3>(
+              engine, std::span<const std::array<double, 3>>(x3));
+          const std::string where =
+              "threads=" + std::to_string(threads) +
+              " shard_size=" + std::to_string(shard_size) +
+              " failures=" + std::to_string(with_failures) +
+              " attack=" + std::to_string(static_cast<int>(attack));
+          EXPECT_EQ(par_count.counts, seq_count.counts) << where;
+          EXPECT_EQ(par_count.rounds, seq_count.rounds) << where;
+          EXPECT_EQ(par_rank.counts, seq_rank.counts) << where;
+          EXPECT_EQ(par3.a, seq3.a) << where;
+          EXPECT_EQ(par3.b, seq3.b) << where;
+          EXPECT_EQ(par3.c, seq3.c) << where;
+          EXPECT_EQ(par3.rounds, seq3.rounds) << where;
+          EXPECT_EQ(par_raw.estimates, seq_raw.estimates) << where;
+          EXPECT_EQ(par_raw.rounds, seq_raw.rounds) << where;
+          EXPECT_EQ(engine.metrics(), net.metrics()) << where;
+        }
+      }
+      // The adversaries must have bitten: at least one operation failed.
+      if (attack == Attack::kCrashChurn || attack == Attack::kEclipse) {
+        EXPECT_GT(net.metrics().failed_operations, 0u);
+      }
     }
   }
 }

@@ -13,14 +13,17 @@
 // assertions are skipped there (the functional assertions still run).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <span>
 #include <vector>
 
 #include "analysis/recurrences.hpp"
 #include "core/two_tournament.hpp"
+#include "engine/pipelines.hpp"
 #include "engine/engine.hpp"
 #include "engine/kernels.hpp"
 #include "engine/scatter.hpp"
@@ -273,6 +276,43 @@ TEST(EngineSteadyState, RobustRoundsAllocateNothingAfterWarmup) {
     EXPECT_EQ(cov_allocs, 0u) << "threads=" << threads;
 #else
     (void)cov_allocs;
+#endif
+  }
+}
+
+// Steady-state push-sum: after a warmup call has grown the pooled (s, w)
+// state and accumulators in Engine::scratch (and, on more than one worker,
+// the scatter mailboxes), a repeat push_sum_average_multi<3> run's ONLY
+// allocation is its caller-visible estimates vector — on the one-worker
+// send-time fold and on the multi-worker scatter delivery alike.
+TEST(EngineSteadyState, PushSumAllocatesOnlyItsResult) {
+  constexpr std::uint32_t kN = 4096;
+  std::vector<std::array<double, 3>> x(kN);
+  for (std::uint32_t v = 0; v < kN; ++v) {
+    x[v] = {v % 3 == 0 ? 1.0 : 0.0, v % 2 == 0 ? 1.0 : 0.0, 1.0};
+  }
+  const std::span<const std::array<double, 3>> input(x);
+
+  for (unsigned threads : {1u, 2u, 8u}) {
+    Engine engine(kN, 29, FailureModel{},
+                  EngineConfig{.threads = threads, .shard_size = 256});
+    const auto warm = push_sum_average_multi<3>(engine, input);
+
+    engine.reset_stream(29);
+    const std::uint64_t grows_before = engine.scatter_arena().grow_events();
+    const std::uint64_t allocs_before =
+        g_allocations.load(std::memory_order_relaxed);
+    const auto repeat = push_sum_average_multi<3>(engine, input);
+    const std::uint64_t allocs =
+        g_allocations.load(std::memory_order_relaxed) - allocs_before;
+
+    EXPECT_EQ(repeat.estimates, warm.estimates) << "threads=" << threads;
+    EXPECT_EQ(engine.scatter_arena().grow_events(), grows_before)
+        << "threads=" << threads;
+#if GQ_ALLOC_COUNTS_RELIABLE
+    EXPECT_EQ(allocs, 1u) << "threads=" << threads;
+#else
+    (void)allocs;
 #endif
   }
 }
